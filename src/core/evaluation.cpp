@@ -30,11 +30,13 @@ AccuracyReport evaluate_against_truth(const PipelineResult& result,
     ImageV err(truth.true_backward_shift.dims(), Vec3{},
                truth.true_backward_shift.spacing(), truth.true_backward_shift.origin());
     const IVec3 d = err.dims();
+    const Mat3 R = result.rigid.matrix();
     for (int k = 0; k < d.z; ++k) {
       for (int j = 0; j < d.y; ++j) {
         for (int i = 0; i < d.x; ++i) {
           const Vec3 y = err.voxel_to_physical(i, j, k);
-          const Vec3 recovered = result.rigid.apply(y + result.backward_field(i, j, k));
+          const Vec3 recovered =
+              result.rigid.apply(R, y + result.backward_field(i, j, k));
           const Vec3 expected = y + truth.true_backward_shift(i, j, k);
           err(i, j, k) = recovered - expected;
         }

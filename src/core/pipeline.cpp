@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <string>
 
 #include "base/check.h"
 #include "core/deformation_field.h"
@@ -66,6 +67,15 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
     const auto rigid = reg::register_rigid_mi(intraop, preop, config.rigid);
     result.rigid = rigid.transform;
     result.rigid_mi = rigid.mutual_information;
+    if (sub.active()) {
+      sub.attr("evals", rigid.metric_evaluations);
+      // Pyramid levels coarse→fine: level0 is the coarsest.
+      for (std::size_t l = 0; l < rigid.level_mi.size(); ++l) {
+        const std::string level = "level" + std::to_string(l);
+        sub.attr(level + ".evals", rigid.level_evals[l]);
+        sub.attr(level + ".mi", rigid.level_mi[l]);
+      }
+    }
   } else {
     result.rigid = RigidTransform{};
   }
@@ -86,6 +96,11 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
                                                config.seg, nullptr, reuse_prototypes);
     result.intraop_brain_mask =
         seg::mask_of_labels(result.segmentation.labels, config.brain_labels);
+    if (sub.active()) {
+      sub.attr("voxels", static_cast<std::int64_t>(intraop.size()));
+      sub.attr("prototypes",
+               static_cast<std::int64_t>(result.segmentation.prototypes.size()));
+    }
   }
   // Classify the aligned preop scan with the same model (recorded prototype
   // locations, features refreshed — the paper's automatic model update), so
@@ -96,6 +111,11 @@ PipelineResult run_intraop_pipeline(const ImageF& preop, const ImageL& preop_lab
         seg::segment_intraop(result.aligned_preop, result.aligned_preop_labels,
                              config.seg, nullptr, &result.segmentation.prototypes)
             .labels;
+    if (sub.active()) {
+      sub.attr("voxels", static_cast<std::int64_t>(result.aligned_preop.size()));
+      sub.attr("prototypes",
+               static_cast<std::int64_t>(result.segmentation.prototypes.size()));
+    }
   }
   result.timeline.push_back({"tissue_classification", stage.close()});
 

@@ -9,8 +9,7 @@ RigidTransform RigidTransform::inverse() const {
   // The inverse of y = R(x-c)+c+t is x = R^T(y-c-t)+c, i.e. a rigid transform
   // with rotation R^T and translation -R^T t about the same center. We keep
   // the Euler parameterization by extracting angles from R^T.
-  const Mat3 R = rotation_zyx(rotation[0], rotation[1], rotation[2]);
-  const Mat3 Ri = R.transposed();
+  const Mat3 Ri = matrix().transposed();
   // ZYX Euler extraction: R = Rz Ry Rx with
   //   R(2,0) = -sin(ry), R(2,1) = sin(rx) cos(ry), R(1,0) = sin(rz) cos(ry).
   RigidTransform inv;
@@ -37,11 +36,12 @@ ImageF resample_rigid(const ImageF& moving, const ImageF& fixed_grid,
   ImageF out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
   const IVec3 d = out.dims();
   const IVec3 md = moving.dims();
+  const Mat3 R = transform.matrix();
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
-        const Vec3 p_moving = transform.apply(p_fixed);
+        const Vec3 p_moving = transform.apply(R, p_fixed);
         const Vec3 v = moving.physical_to_voxel(p_moving);
         if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
             v.z > md.z - 1) {
@@ -59,11 +59,12 @@ ImageL resample_rigid_labels(const ImageL& moving, const ImageL& fixed_grid,
   ImageL out(fixed_grid.dims(), outside, fixed_grid.spacing(), fixed_grid.origin());
   const IVec3 d = out.dims();
   const IVec3 md = moving.dims();
+  const Mat3 R = transform.matrix();
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 p_fixed = out.voxel_to_physical(i, j, k);
-        const Vec3 p_moving = transform.apply(p_fixed);
+        const Vec3 p_moving = transform.apply(R, p_fixed);
         const Vec3 v = moving.physical_to_voxel(p_moving);
         const int ii = static_cast<int>(v.x + 0.5);
         const int jj = static_cast<int>(v.y + 0.5);

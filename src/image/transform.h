@@ -16,18 +16,29 @@ struct RigidTransform {
   std::array<double, 3> translation{0, 0, 0};  ///< physical units
   Vec3 center{0, 0, 0};
 
-  [[nodiscard]] Vec3 apply(const Vec3& p) const {
-    const Mat3 R = rotation_zyx(rotation[0], rotation[1], rotation[2]);
+  /// Rotation matrix R(rx, ry, rz). Loops over many points build it once and
+  /// pass it to apply(R, p) / apply_inverse(R, p); the one-argument forms
+  /// rebuild it on every call (six sin/cos).
+  [[nodiscard]] Mat3 matrix() const {
+    return rotation_zyx(rotation[0], rotation[1], rotation[2]);
+  }
+
+  /// y = R * (p - c) + c + t with `R == matrix()`; bit-identical to apply(p).
+  [[nodiscard]] Vec3 apply(const Mat3& R, const Vec3& p) const {
     return R * (p - center) + center +
            Vec3{translation[0], translation[1], translation[2]};
   }
+  [[nodiscard]] Vec3 apply(const Vec3& p) const { return apply(matrix(), p); }
 
-  /// Inverse transform: x = R^T * (y - c - t) + c.
-  [[nodiscard]] Vec3 apply_inverse(const Vec3& p) const {
-    const Mat3 R = rotation_zyx(rotation[0], rotation[1], rotation[2]);
+  /// Inverse transform: x = R^T * (y - c - t) + c, with `R == matrix()`;
+  /// bit-identical to apply_inverse(p).
+  [[nodiscard]] Vec3 apply_inverse(const Mat3& R, const Vec3& p) const {
     return R.transposed() * (p - center - Vec3{translation[0], translation[1],
                                                translation[2]}) +
            center;
+  }
+  [[nodiscard]] Vec3 apply_inverse(const Vec3& p) const {
+    return apply_inverse(matrix(), p);
   }
 
   [[nodiscard]] RigidTransform inverse() const;

@@ -173,11 +173,12 @@ PhantomCase make_case(const PhantomConfig& config, const ShiftConfig& shift,
   // Intraop voxel y samples anatomy at x = R^-1(y) + v(R^-1(y)).
   c.intraop_labels = ImageL(config.dims, 0, config.spacing, {0, 0, 0});
   c.true_backward_shift = ImageV(config.dims, Vec3{}, config.spacing, {0, 0, 0});
+  const Mat3 R = rigid_offset.matrix();
   for (int k = 0; k < d.z; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         const Vec3 y = c.intraop_labels.voxel_to_physical(i, j, k);
-        const Vec3 q = rigid_offset.apply_inverse(y);
+        const Vec3 q = rigid_offset.apply_inverse(R, y);
         const Vec3 x = q + geo.shift_at(q, shift);
         c.true_backward_shift(i, j, k) = x - y;
         Tissue t = geo.tissue_at(x);

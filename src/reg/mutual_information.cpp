@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/check.h"
 
@@ -26,8 +27,7 @@ int JointHistogram::bin(double v, double lo, double hi) const {
   return std::clamp(b, 0, bins_ - 1);
 }
 
-void JointHistogram::add(double fixed_value, double moving_value) {
-  const int bf = bin(fixed_value, fixed_lo_, fixed_hi_);
+void JointHistogram::add_binned(int bf, double moving_value) {
   const int bm = bin(moving_value, moving_lo_, moving_hi_);
   joint_[static_cast<std::size_t>(bf) * static_cast<std::size_t>(bins_) +
          static_cast<std::size_t>(bm)] += 1.0;
@@ -91,56 +91,82 @@ std::pair<double, double> intensity_range(const ImageF& img) {
   return {lo, hi};
 }
 
-double mutual_information(const ImageF& fixed, const ImageF& moving,
-                          const RigidTransform& transform, const MiConfig& config) {
-  NEURO_REQUIRE(config.sample_stride >= 1, "mutual_information: bad sample stride");
+namespace {
+JointHistogram histogram_for(const ImageF& fixed, const ImageF& moving, int bins) {
   const auto [flo, fhi] = intensity_range(fixed);
   const auto [mlo, mhi] = intensity_range(moving);
-  JointHistogram hist(config.bins, flo, fhi, mlo, mhi);
+  return JointHistogram(bins, flo, fhi, mlo, mhi);
+}
+}  // namespace
 
+RigidMetric::RigidMetric(const ImageF& fixed, const ImageF& moving,
+                         const MiConfig& config)
+    : moving_(moving), hist_(histogram_for(fixed, moving, config.bins)) {
+  NEURO_REQUIRE(config.sample_stride >= 1, "RigidMetric: bad sample stride");
   const IVec3 d = fixed.dims();
-  const IVec3 md = moving.dims();
-  for (int k = 0; k < d.z; k += config.sample_stride) {
-    for (int j = 0; j < d.y; j += config.sample_stride) {
-      for (int i = 0; i < d.x; i += config.sample_stride) {
-        const Vec3 p = fixed.voxel_to_physical(i, j, k);
-        const Vec3 v = moving.physical_to_voxel(transform.apply(p));
-        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
-            v.z > md.z - 1) {
-          continue;
-        }
-        hist.add(static_cast<double>(fixed(i, j, k)), sample_trilinear(moving, v));
+  const int stride = config.sample_stride;
+  const auto samples = static_cast<std::size_t>((d.x + stride - 1) / stride) *
+                       static_cast<std::size_t>((d.y + stride - 1) / stride) *
+                       static_cast<std::size_t>((d.z + stride - 1) / stride);
+  points_.reserve(samples);
+  values_.reserve(samples);
+  fixed_bins_.reserve(samples);
+  for (int k = 0; k < d.z; k += stride) {
+    for (int j = 0; j < d.y; j += stride) {
+      for (int i = 0; i < d.x; i += stride) {
+        points_.push_back(fixed.voxel_to_physical(i, j, k));
+        values_.push_back(fixed(i, j, k));
+        fixed_bins_.push_back(hist_.fixed_bin(static_cast<double>(fixed(i, j, k))));
       }
     }
   }
-  return hist.mutual_information();
+}
+
+template <typename Visit>
+void RigidMetric::for_each_inside(const RigidTransform& transform, Visit&& visit) const {
+  const Mat3 R = transform.matrix();
+  const IVec3 md = moving_.dims();
+  for (std::size_t s = 0; s < points_.size(); ++s) {
+    const Vec3 v = moving_.physical_to_voxel(transform.apply(R, points_[s]));
+    if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+        v.z > md.z - 1) {
+      continue;
+    }
+    visit(s, sample_trilinear(moving_, v));
+  }
+}
+
+double RigidMetric::mutual_information(const RigidTransform& transform) {
+  hist_.clear();
+  for_each_inside(transform, [&](std::size_t s, double moving_value) {
+    hist_.add_binned(fixed_bins_[s], moving_value);
+  });
+  return hist_.mutual_information();
+}
+
+double RigidMetric::mean_squared_difference(const RigidTransform& transform) const {
+  double sum = 0.0;
+  std::size_t n = 0;
+  for_each_inside(transform, [&](std::size_t s, double moving_value) {
+    const double diff = static_cast<double>(values_[s]) - moving_value;
+    sum += diff * diff;
+    ++n;
+  });
+  // No overlap is the worst match, not a perfect one: the optimizer
+  // maximizes −MSD and must never prefer moving the image out of view.
+  return n == 0 ? std::numeric_limits<double>::infinity()
+                : sum / static_cast<double>(n);
+}
+
+double mutual_information(const ImageF& fixed, const ImageF& moving,
+                          const RigidTransform& transform, const MiConfig& config) {
+  return RigidMetric(fixed, moving, config).mutual_information(transform);
 }
 
 double mean_squared_difference(const ImageF& fixed, const ImageF& moving,
                                const RigidTransform& transform,
                                const MiConfig& config) {
-  NEURO_REQUIRE(config.sample_stride >= 1, "mean_squared_difference: bad stride");
-  const IVec3 d = fixed.dims();
-  const IVec3 md = moving.dims();
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (int k = 0; k < d.z; k += config.sample_stride) {
-    for (int j = 0; j < d.y; j += config.sample_stride) {
-      for (int i = 0; i < d.x; i += config.sample_stride) {
-        const Vec3 p = fixed.voxel_to_physical(i, j, k);
-        const Vec3 v = moving.physical_to_voxel(transform.apply(p));
-        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
-            v.z > md.z - 1) {
-          continue;
-        }
-        const double diff =
-            static_cast<double>(fixed(i, j, k)) - sample_trilinear(moving, v);
-        sum += diff * diff;
-        ++n;
-      }
-    }
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  return RigidMetric(fixed, moving, config).mean_squared_difference(transform);
 }
 
 }  // namespace neuro::reg

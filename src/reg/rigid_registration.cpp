@@ -42,14 +42,20 @@ ImageF downsample2(const ImageF& img) {
 
 namespace {
 
-/// Golden-section line search for the maximum of f on [a, b] after a simple
-/// expansion bracketing around 0 with step `step`. Returns the best t.
+struct LineMax {
+  double t;      ///< best step found
+  double value;  ///< f(t)
+};
+
+/// Golden-section line search for the maximum of f after a simple expansion
+/// bracketing around 0 with step `step`. `f_at_zero` is f(0), which the
+/// caller already holds; the result carries f at the returned step, so
+/// neither point is evaluated twice.
 template <typename F>
-double line_search_max(F&& f, double step, int* evals) {
+LineMax line_search_max(F&& f, double f_at_zero, double step) {
   // Bracket: evaluate at -step, 0, +step, expand toward the better side.
   double t0 = -step, t1 = 0.0, t2 = step;
-  double f0 = f(t0), f1 = f(t1), f2 = f(t2);
-  *evals += 3;
+  double f0 = f(t0), f1 = f_at_zero, f2 = f(t2);
   int guard = 0;
   while (guard++ < 12) {
     if (f1 >= f0 && f1 >= f2) break;  // bracketed
@@ -64,7 +70,6 @@ double line_search_max(F&& f, double step, int* evals) {
       t2 = t1 + 2.0 * (t1 - t0);
       f2 = f(t2);
     }
-    ++*evals;
   }
   // Golden-section refinement on [t0, t2].
   constexpr double kInvPhi = 0.6180339887498949;
@@ -72,7 +77,6 @@ double line_search_max(F&& f, double step, int* evals) {
   double x1 = b - kInvPhi * (b - a);
   double x2 = a + kInvPhi * (b - a);
   double fx1 = f(x1), fx2 = f(x2);
-  *evals += 2;
   for (int it = 0; it < 18 && (b - a) > 1e-6 + 1e-3 * step; ++it) {
     if (fx1 >= fx2) {
       b = x2;
@@ -85,9 +89,8 @@ double line_search_max(F&& f, double step, int* evals) {
       x2 = a + kInvPhi * (b - a);
       fx2 = f(x2);
     }
-    ++*evals;
   }
-  return fx1 >= fx2 ? x1 : x2;
+  return fx1 >= fx2 ? LineMax{x1, fx1} : LineMax{x2, fx2};
 }
 
 }  // namespace
@@ -120,23 +123,21 @@ RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& mov
   int evals = 0;
 
   for (int l = config.pyramid_levels - 1; l >= 0; --l) {
-    const ImageF& f_img = fixed_pyr[static_cast<std::size_t>(l)];
-    const ImageF& m_img = moving_pyr[static_cast<std::size_t>(l)];
-    // Coarse levels tolerate a denser sampling because they are small.
-    MiConfig mi = config.mi;
-
+    const int evals_before = evals;
+    RigidMetric similarity(fixed_pyr[static_cast<std::size_t>(l)],
+                           moving_pyr[static_cast<std::size_t>(l)], config.mi);
     auto metric = [&](const std::array<double, 6>& p) {
       ++evals;
       const RigidTransform t = RigidTransform::from_params(p, center);
       // The optimizer maximizes; SSD enters negated.
       return config.metric == MetricKind::kMutualInformation
-                 ? mutual_information(f_img, m_img, t, mi)
-                 : -mean_squared_difference(f_img, m_img, t, mi);
+                 ? similarity.mutual_information(t)
+                 : -similarity.mean_squared_difference(t);
     };
 
     // Step sizes shrink on finer levels where the coarse solve got us close.
     const double scale = std::pow(0.5, config.pyramid_levels - 1 - l);
-    double best = metric(params);
+    double best = metric(params);  // always metric(params): the line searches' f(0)
     for (int sweep = 0; sweep < config.powell_iterations; ++sweep) {
       const double before = best;
       for (int dim = 0; dim < 6; ++dim) {
@@ -148,18 +149,16 @@ RigidRegistrationResult register_rigid_mi(const ImageF& fixed, const ImageF& mov
           p[static_cast<std::size_t>(dim)] += t;
           return metric(p);
         };
-        const double t = line_search_max(line, step, &evals);
-        std::array<double, 6> p = params;
-        p[static_cast<std::size_t>(dim)] += t;
-        const double v = metric(p);
-        if (v > best) {
-          best = v;
-          params = p;
+        const LineMax found = line_search_max(line, best, step);
+        if (found.value > best) {
+          best = found.value;
+          params[static_cast<std::size_t>(dim)] += found.t;
         }
       }
       if (best - before < config.tolerance) break;
     }
     result.level_mi.push_back(best);
+    result.level_evals.push_back(evals - evals_before);
     result.mutual_information = best;
   }
 

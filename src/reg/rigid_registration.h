@@ -36,8 +36,9 @@ struct RigidRegistrationConfig {
 struct RigidRegistrationResult {
   RigidTransform transform;   ///< maps fixed-space points into moving space
   double mutual_information = 0.0;
-  int metric_evaluations = 0;
-  std::vector<double> level_mi;  ///< best MI per pyramid level (coarse→fine)
+  int metric_evaluations = 0;     ///< similarity evaluations, all levels
+  std::vector<double> level_mi;   ///< best MI per pyramid level (coarse→fine)
+  std::vector<int> level_evals;   ///< evaluations per pyramid level (coarse→fine)
 };
 
 /// Downsamples an image by 2 along each axis (2x2x2 block mean); spacing is

@@ -182,80 +182,124 @@ void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& 
   }
 }
 
-KnnClassifier::KnnClassifier(std::vector<Prototype> prototypes, int k, Voting voting)
-    : prototypes_(std::move(prototypes)), k_(k), voting_(voting) {
+KnnClassifier::KnnClassifier(const std::vector<Prototype>& prototypes, int k,
+                             Voting voting)
+    : k_(k), voting_(voting) {
   NEURO_REQUIRE(k_ > 0, "KnnClassifier: k must be positive");
-  NEURO_REQUIRE(!prototypes_.empty(), "KnnClassifier: need at least one prototype");
-  const std::size_t nf = prototypes_.front().features.size();
-  for (const auto& p : prototypes_) {
-    NEURO_REQUIRE(p.features.size() == nf,
+  NEURO_REQUIRE(!prototypes.empty(), "KnnClassifier: need at least one prototype");
+  channels_ = prototypes.front().features.size();
+  features_.reserve(prototypes.size() * channels_);
+  labels_.reserve(prototypes.size());
+  for (const auto& p : prototypes) {
+    NEURO_REQUIRE(p.features.size() == channels_,
                   "KnnClassifier: inconsistent prototype feature sizes");
+    features_.insert(features_.end(), p.features.begin(), p.features.end());
+    labels_.push_back(p.label);
   }
 }
 
-std::uint8_t KnnClassifier::classify(const std::vector<double>& feature) const {
-  NEURO_REQUIRE(feature.size() == prototypes_.front().features.size(),
-                "KnnClassifier::classify: feature size mismatch");
-  const int k = std::min<int>(k_, static_cast<int>(prototypes_.size()));
+/// Scratch of one classifying loop: the k nearest hits so far, ascending by
+/// squared distance, and per-label tallies that are all zero between queries.
+struct KnnClassifier::Search {
+  explicit Search(std::size_t k) : d2(k), label(k) {}
+  std::vector<double> d2;
+  std::vector<std::uint8_t> label;
+  std::array<int, 256> votes{};
+  std::array<double, 256> weights{};
+};
 
-  // Partial selection of the k smallest squared distances.
-  struct Hit {
-    double d2;
-    std::uint8_t label;
-  };
-  std::vector<Hit> best;
-  best.reserve(static_cast<std::size_t>(k) + 1);
-  for (const auto& p : prototypes_) {
+std::uint8_t KnnClassifier::classify(const double* feature, Search& search) const {
+  const int k = static_cast<int>(search.d2.size());
+  double* const best_d2 = search.d2.data();
+  std::uint8_t* const best_label = search.label.data();
+  int size = 0;
+  const double* proto = features_.data();
+  for (std::size_t p = 0; p < labels_.size(); ++p, proto += channels_) {
     double d2 = 0.0;
-    for (std::size_t c = 0; c < feature.size(); ++c) {
-      const double diff = feature[c] - p.features[c];
-      d2 += diff * diff;
+    if (size < k) {
+      for (std::size_t c = 0; c < channels_; ++c) {
+        const double diff = feature[c] - proto[c];
+        d2 += diff * diff;
+      }
+    } else {
+      // Partial sums of squares never decrease, so once one reaches the k-th
+      // best distance the full sum fails `d2 < kth` too: stop early.
+      const double kth = best_d2[k - 1];
+      std::size_t c = 0;
+      for (; c < channels_; ++c) {
+        const double diff = feature[c] - proto[c];
+        d2 += diff * diff;
+        if (d2 >= kth) break;
+      }
+      if (c < channels_) continue;
     }
-    if (static_cast<int>(best.size()) < k || d2 < best.back().d2) {
-      const Hit h{d2, p.label};
-      const auto pos = std::lower_bound(
-          best.begin(), best.end(), h, [](const Hit& a, const Hit& b) { return a.d2 < b.d2; });
-      best.insert(pos, h);
-      if (static_cast<int>(best.size()) > k) best.pop_back();
+    // Insert before any equal distance; the k-th hit drops off a full buffer.
+    const int pos =
+        static_cast<int>(std::lower_bound(best_d2, best_d2 + size, d2) - best_d2);
+    for (int i = std::min(size, k - 1); i > pos; --i) {
+      best_d2[i] = best_d2[i - 1];
+      best_label[i] = best_label[i - 1];
     }
+    best_d2[pos] = d2;
+    best_label[pos] = labels_[p];
+    size = std::min(size + 1, k);
   }
 
+  std::uint8_t winner = best_label[0];
   if (voting_ == Voting::kDistanceWeighted) {
-    // Inverse-square-distance weights (ε regularizes exact hits).
+    // Inverse-square-distance weights (ε regularizes exact hits), summed per
+    // label in distance order.
     constexpr double kEps = 1e-9;
-    std::map<std::uint8_t, double> weights;
-    for (const auto& h : best) weights[h.label] += 1.0 / (h.d2 + kEps);
-    std::uint8_t winner = best.front().label;
+    for (int i = 0; i < size; ++i) {
+      search.weights[best_label[i]] += 1.0 / (best_d2[i] + kEps);
+    }
     double max_w = -1.0;
-    for (const auto& [lbl, w] : weights) {
-      if (w > max_w) {
+    for (int i = 0; i < size; ++i) {
+      const std::uint8_t l = best_label[i];
+      const double w = search.weights[l];
+      if (w > max_w || (w == max_w && l < winner)) {
         max_w = w;
-        winner = lbl;
+        winner = l;
       }
     }
+    for (int i = 0; i < size; ++i) search.weights[best_label[i]] = 0.0;
     return winner;
   }
 
   // Majority vote; ties go to the label whose nearest hit is closest.
-  std::map<std::uint8_t, int> votes;
-  for (const auto& h : best) ++votes[h.label];
   int max_votes = 0;
-  for (const auto& [lbl, v] : votes) max_votes = std::max(max_votes, v);
-  for (const auto& h : best) {  // best is distance-sorted
-    if (votes[h.label] == max_votes) return h.label;
+  for (int i = 0; i < size; ++i) {
+    max_votes = std::max(max_votes, ++search.votes[best_label[i]]);
   }
-  return best.front().label;
+  for (int i = 0; i < size; ++i) {  // distance-sorted
+    if (search.votes[best_label[i]] == max_votes) {
+      winner = best_label[i];
+      break;
+    }
+  }
+  for (int i = 0; i < size; ++i) search.votes[best_label[i]] = 0;
+  return winner;
+}
+
+std::uint8_t KnnClassifier::classify(const std::vector<double>& feature) const {
+  NEURO_REQUIRE(feature.size() == channels_,
+                "KnnClassifier::classify: feature size mismatch");
+  Search search(std::min(static_cast<std::size_t>(k_), labels_.size()));
+  return classify(feature.data(), search);
 }
 
 void KnnClassifier::classify_slab(const FeatureStack& stack, int k_begin, int k_end,
                                   ImageL& out) const {
+  NEURO_REQUIRE(stack.channels() == channels_,
+                "KnnClassifier: feature stack has the wrong channel count");
+  Search search(std::min(static_cast<std::size_t>(k_), labels_.size()));
   std::vector<double> feature;
   const IVec3 d = stack.dims();
   for (int k = k_begin; k < k_end; ++k) {
     for (int j = 0; j < d.y; ++j) {
       for (int i = 0; i < d.x; ++i) {
         stack.feature_at(i, j, k, feature);
-        out(i, j, k) = classify(feature);
+        out(i, j, k) = classify(feature.data(), search);
       }
     }
   }
@@ -283,7 +327,7 @@ ImageL KnnClassifier::classify_volume_parallel(const FeatureStack& stack,
   ImageL out(d, 0, ref.spacing(), ref.origin());
   classify_slab(stack, begin, end, out);
   comm.work().add_flops(static_cast<double>(end - begin) * d.x * d.y *
-                        static_cast<double>(prototypes_.size()) *
+                        static_cast<double>(labels_.size()) *
                         (3.0 * static_cast<double>(stack.channels())));
 
   // Gather the slabs: each rank contributes its slice range.

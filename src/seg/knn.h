@@ -7,8 +7,12 @@
 // once per surgery (< 5 min interaction) and reused — their *spatial
 // locations* are recorded so the statistical model updates automatically on
 // later scans. We reproduce that structure: prototypes are (feature, label)
-// pairs with recorded voxel locations; classification is brute-force k-NN,
-// parallelized over image slabs with neuro::par.
+// pairs with recorded voxel locations. Classification is an exact k-NN
+// search: prototype features sit in one contiguous array, and each voxel's
+// distance to a prototype stops accumulating as soon as it reaches the
+// current k-th best, which cannot change the answer. Volumes are classified
+// without per-voxel allocation and in parallel over image slabs with
+// neuro::par.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +82,7 @@ std::vector<Prototype> select_prototypes_robust(
 /// prototype *locations* persist, their signals are re-read).
 void refresh_prototypes(std::vector<Prototype>& prototypes, const FeatureStack& stack);
 
-/// Brute-force k-NN classifier.
+/// Exact k-NN classifier (see the file comment for the search).
 class KnnClassifier {
  public:
   /// How the k nearest prototypes combine into a decision.
@@ -88,11 +92,14 @@ class KnnClassifier {
                         ///< boundaries under class-imbalanced prototype sets
   };
 
-  KnnClassifier(std::vector<Prototype> prototypes, int k,
+  KnnClassifier(const std::vector<Prototype>& prototypes, int k,
                 Voting voting = Voting::kMajority);
 
-  /// Label of a single feature vector (among the k nearest prototypes;
-  /// majority ties break toward the nearest member of the tied labels).
+  /// Label of a single feature vector among its k nearest prototypes. A
+  /// prototype at the same distance as an earlier one ranks behind it, and
+  /// one tying the k-th nearest does not enter. Majority ties break toward
+  /// the tied label with the nearest member; distance-weighted ties toward
+  /// the lowest label.
   [[nodiscard]] std::uint8_t classify(const std::vector<double>& feature) const;
 
   /// Classifies a whole feature stack serially.
@@ -103,14 +110,19 @@ class KnnClassifier {
   [[nodiscard]] ImageL classify_volume_parallel(const FeatureStack& stack,
                                                 par::Communicator& comm) const;
 
-  [[nodiscard]] const std::vector<Prototype>& prototypes() const { return prototypes_; }
   [[nodiscard]] int k() const { return k_; }
 
  private:
+  struct Search;  // scratch of one classifying loop: top-k buffer, vote tallies
+
+  /// The k-NN search and vote behind every classify path; allocates nothing.
+  [[nodiscard]] std::uint8_t classify(const double* feature, Search& search) const;
   void classify_slab(const FeatureStack& stack, int k_begin, int k_end,
                      ImageL& out) const;
 
-  std::vector<Prototype> prototypes_;
+  std::vector<double> features_;      ///< prototype features, one row each
+  std::vector<std::uint8_t> labels_;  ///< prototype labels, same order
+  std::size_t channels_ = 0;
   int k_;
   Voting voting_;
 };

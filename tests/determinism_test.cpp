@@ -5,6 +5,8 @@
 // executions (fixed-order reductions) and for the full pipeline.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -188,6 +190,56 @@ TEST(DeterminismTest, MultiRankPipelineAndMetricsBitwiseStable) {
     EXPECT_FALSE(m1.empty());
     EXPECT_EQ(m1, m2);
   }
+}
+
+/// 64-bit FNV-1a over raw bytes, chained through `h`.
+std::uint64_t fnv1a(const void* data, std::size_t bytes,
+                    std::uint64_t h = 14695981039346656037ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& v, std::uint64_t h) {
+  return fnv1a(v.data(), v.size() * sizeof(T), h);
+}
+
+TEST(DeterminismTest, GoldenDigestOfRigidPipeline) {
+  // The other tests here compare a run with a second run of the same code;
+  // this one pins the bits themselves. A change that claims to be a pure
+  // speed-up (hoisting, reordering loops, a new data layout) must leave this
+  // digest unchanged. It covers the rigid MI parameters, the intraop and
+  // preop label maps, the backward field and the warped image of a small
+  // pipeline with rigid registration on. The constant holds for IEEE-754
+  // double arithmetic without fused multiply-add contraction (x86-64 SSE2,
+  // the default GCC target) and glibc's libm. Change it only together with
+  // a change that is meant to move the pipeline's output.
+  constexpr std::uint64_t kGolden = 0xac54520213f37d74ull;
+  phantom::PhantomConfig pc;
+  pc.dims = {36, 36, 36};
+  pc.spacing = {3.2, 3.2, 3.2};
+  RigidTransform offset;
+  offset.center = {56.0, 56.0, 56.0};
+  offset.translation = {3.0, -2.0, 1.0};
+  offset.rotation = {0.02, -0.01, 0.015};
+  const auto cas = phantom::make_case(pc, phantom::ShiftConfig{}, offset);
+  core::PipelineConfig config = core::default_pipeline_config();
+  config.do_rigid_registration = true;
+  config.fem.nranks = 2;
+  const auto r =
+      core::run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config);
+
+  const std::array<double, 6> params = r.rigid.params();
+  std::uint64_t h = fnv1a(params.data(), sizeof(params));
+  h = fnv1a(r.segmentation.labels.data(), h);
+  h = fnv1a(r.preop_classified_labels.data(), h);
+  h = fnv1a(r.backward_field.data(), h);
+  h = fnv1a(r.warped_preop.data(), h);
+  EXPECT_EQ(h, kGolden) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

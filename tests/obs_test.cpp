@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -279,6 +280,64 @@ TEST(TraceEnv, TruthinessMatchesConvention) {
     ::setenv("NEURO_TRACE", saved_value.c_str(), 1);
   } else {
     ::unsetenv("NEURO_TRACE");
+  }
+}
+
+TEST(PipelineTracing, StageSpansCarryRegistrationAndClassificationCounts) {
+  if (!kObsCompiledIn) GTEST_SKIP() << "built with NEURO_OBS=OFF";
+  phantom::PhantomConfig pcfg;
+  pcfg.dims = {32, 32, 32};
+  pcfg.spacing = {3.5, 3.5, 3.5};
+  const phantom::PhantomCase cas = phantom::make_case(pcfg, phantom::ShiftConfig{});
+  core::PipelineConfig config = core::default_pipeline_config();
+  config.rigid.pyramid_levels = 2;
+  global().set_enabled(true);
+  const core::PipelineResult result =
+      core::run_intraop_pipeline(cas.preop, cas.preop_labels, cas.intraop, config);
+  global().set_enabled(false);
+  const std::vector<TraceEvent> events = global().snapshot();
+  global().clear();
+
+  const auto find_span = [&](const std::string& name) -> const TraceEvent* {
+    for (const auto& e : events) {
+      if (e.kind == TraceEvent::Kind::kSpan && e.name == name) return &e;
+    }
+    return nullptr;
+  };
+  const auto attr = [](const TraceEvent& e, const std::string& key) -> const Attr* {
+    for (const auto& a : e.attrs) {
+      if (a.key == key) return &a;
+    }
+    return nullptr;
+  };
+
+  const TraceEvent* reg = find_span("pipeline.rigid.register_mi");
+  ASSERT_NE(reg, nullptr);
+  const Attr* evals = attr(*reg, "evals");
+  ASSERT_NE(evals, nullptr);
+  std::int64_t level_sum = 0;
+  for (const char* level : {"level0", "level1"}) {
+    const Attr* level_evals = attr(*reg, std::string(level) + ".evals");
+    const Attr* level_mi = attr(*reg, std::string(level) + ".mi");
+    ASSERT_NE(level_evals, nullptr) << level;
+    ASSERT_NE(level_mi, nullptr) << level;
+    EXPECT_GT(level_evals->i, 0);
+    EXPECT_GT(level_mi->d, 0.0);
+    level_sum += level_evals->i;
+  }
+  EXPECT_EQ(evals->i, level_sum);
+  EXPECT_EQ(attr(*reg, "level1.mi")->d, result.rigid_mi);  // finest level last
+
+  for (const char* name : {"pipeline.seg.intraop", "pipeline.seg.preop"}) {
+    const TraceEvent* seg = find_span(name);
+    ASSERT_NE(seg, nullptr) << name;
+    const Attr* voxels = attr(*seg, "voxels");
+    const Attr* prototypes = attr(*seg, "prototypes");
+    ASSERT_NE(voxels, nullptr) << name;
+    ASSERT_NE(prototypes, nullptr) << name;
+    EXPECT_EQ(voxels->i, 32 * 32 * 32);
+    EXPECT_EQ(prototypes->i,
+              static_cast<std::int64_t>(result.segmentation.prototypes.size()));
   }
 }
 

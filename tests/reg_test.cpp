@@ -1,7 +1,10 @@
 // Tests for mutual information and MI-based rigid registration.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "base/check.h"
 #include "base/rng.h"
@@ -120,6 +123,176 @@ TEST(IntensityRangeTest, FindsMinMax) {
   EXPECT_DOUBLE_EQ(hi, 9.0);
 }
 
+// Reference oracles: the metric loops as first written, before RigidMetric
+// hoisted their loop-invariant work. Every sample goes through
+// transform.apply(p), which rebuilds the rotation, and every call rescans
+// both intensity ranges and re-bins the fixed image. RigidMetric must match
+// them to the bit. The MSD oracle carries the no-overlap fix (+∞, the worst
+// score, instead of 0).
+double reference_mi(const ImageF& fixed, const ImageF& moving,
+                    const RigidTransform& transform, const MiConfig& config) {
+  const auto [flo, fhi] = intensity_range(fixed);
+  const auto [mlo, mhi] = intensity_range(moving);
+  JointHistogram hist(config.bins, flo, fhi, mlo, mhi);
+  const IVec3 d = fixed.dims();
+  const IVec3 md = moving.dims();
+  for (int k = 0; k < d.z; k += config.sample_stride) {
+    for (int j = 0; j < d.y; j += config.sample_stride) {
+      for (int i = 0; i < d.x; i += config.sample_stride) {
+        const Vec3 p = fixed.voxel_to_physical(i, j, k);
+        const Vec3 v = moving.physical_to_voxel(transform.apply(p));
+        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+            v.z > md.z - 1) {
+          continue;
+        }
+        hist.add(static_cast<double>(fixed(i, j, k)), sample_trilinear(moving, v));
+      }
+    }
+  }
+  return hist.mutual_information();
+}
+
+double reference_msd(const ImageF& fixed, const ImageF& moving,
+                     const RigidTransform& transform, const MiConfig& config) {
+  const IVec3 d = fixed.dims();
+  const IVec3 md = moving.dims();
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (int k = 0; k < d.z; k += config.sample_stride) {
+    for (int j = 0; j < d.y; j += config.sample_stride) {
+      for (int i = 0; i < d.x; i += config.sample_stride) {
+        const Vec3 p = fixed.voxel_to_physical(i, j, k);
+        const Vec3 v = moving.physical_to_voxel(transform.apply(p));
+        if (v.x < 0 || v.y < 0 || v.z < 0 || v.x > md.x - 1 || v.y > md.y - 1 ||
+            v.z > md.z - 1) {
+          continue;
+        }
+        const double diff =
+            static_cast<double>(fixed(i, j, k)) - sample_trilinear(moving, v);
+        sum += diff * diff;
+        ++n;
+      }
+    }
+  }
+  return n == 0 ? std::numeric_limits<double>::infinity()
+                : sum / static_cast<double>(n);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(RigidMetricTest, MatchesPerSampleReferenceToTheBit) {
+  // Different grids on purpose (dims, spacing, origin), so physical mapping,
+  // bounds and trilinear sampling are all exercised.
+  ImageF fixed({20, 22, 18}, 0.0f, {1.5, 1.5, 2.0}, {1.0, 2.0, 3.0});
+  ImageF moving({24, 24, 24}, 0.0f, {1.3, 1.2, 1.4}, {-1.0, 0.5, 0.0});
+  Rng noise(11);
+  for (auto* img : {&fixed, &moving}) {
+    const IVec3 d = img->dims();
+    for (int k = 0; k < d.z; ++k) {
+      for (int j = 0; j < d.y; ++j) {
+        for (int i = 0; i < d.x; ++i) {
+          (*img)(i, j, k) = static_cast<float>(
+              80.0 * std::sin(0.35 * i + 0.1 * k) * std::cos(0.25 * j) +
+              5.0 * noise.normal());
+        }
+      }
+    }
+  }
+  Rng rng(5);
+  enum Overlap { kFull, kPartial, kNone };
+  for (const Overlap overlap : {kFull, kPartial, kNone}) {
+    for (int t = 0; t < 6; ++t) {
+      RigidTransform tr;
+      tr.center = {16.0, 17.0, 18.0};
+      const double reach = overlap == kFull ? 1.5 : overlap == kPartial ? 12.0 : 400.0;
+      tr.translation = {rng.uniform(-reach, reach), rng.uniform(-reach, reach),
+                        rng.uniform(-reach, reach)};
+      if (overlap == kNone) tr.translation[0] = 400.0;
+      const double angle = overlap == kFull ? 0.02 : 0.3;
+      tr.rotation = {rng.uniform(-angle, angle), rng.uniform(-angle, angle),
+                     rng.uniform(-angle, angle)};
+      for (const int stride : {1, 2, 3}) {
+        for (const int bins : {16, 32}) {
+          SCOPED_TRACE(testing::Message() << "overlap " << overlap << " t " << t
+                                          << " stride " << stride << " bins " << bins);
+          MiConfig cfg;
+          cfg.sample_stride = stride;
+          cfg.bins = bins;
+          const double mi_ref = reference_mi(fixed, moving, tr, cfg);
+          const double msd_ref = reference_msd(fixed, moving, tr, cfg);
+          EXPECT_EQ(bits(mutual_information(fixed, moving, tr, cfg)), bits(mi_ref));
+          EXPECT_EQ(bits(mean_squared_difference(fixed, moving, tr, cfg)),
+                    bits(msd_ref));
+          if (overlap == kNone) {
+            EXPECT_EQ(mi_ref, 0.0);
+            EXPECT_TRUE(std::isinf(msd_ref));
+          } else {
+            EXPECT_TRUE(std::isfinite(msd_ref));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RigidMetricTest, ReusedEvaluatorMatchesFreshReference) {
+  // The optimizer's pattern: one evaluator per pyramid level, evaluated many
+  // times; its reused histogram must not carry state between evaluations.
+  const ImageF fixed = structured_volume(20, 7);
+  const ImageF moving = structured_volume(22, 8);
+  MiConfig cfg;
+  RigidMetric metric(fixed, moving, cfg);
+  Rng rng(3);
+  for (int t = 0; t < 20; ++t) {
+    RigidTransform tr;
+    tr.center = {10.0, 10.0, 10.0};
+    const double reach = t % 4 == 3 ? 300.0 : 6.0;
+    tr.translation = {rng.uniform(-reach, reach), rng.uniform(-reach, reach),
+                      rng.uniform(-reach, reach)};
+    tr.rotation = {rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2),
+                   rng.uniform(-0.2, 0.2)};
+    EXPECT_EQ(bits(metric.mutual_information(tr)),
+              bits(reference_mi(fixed, moving, tr, cfg)));
+    EXPECT_EQ(bits(metric.mean_squared_difference(tr)),
+              bits(reference_msd(fixed, moving, tr, cfg)));
+  }
+}
+
+TEST(MeanSquaredDifferenceTest, NoOverlapLosesToIdentity) {
+  // Moving the image wholly out of the volume used to score MSD 0, a perfect
+  // match: under MetricKind::kMeanSquaredDifference the optimizer maximizes
+  // −MSD, so it must rank any real overlap above no overlap at all.
+  const ImageF a = structured_volume(16, 4);
+  ImageF b = a;
+  Rng rng(6);
+  for (auto& v : b.data()) v += static_cast<float>(3.0 * rng.normal());
+  MiConfig cfg;
+  RigidTransform away;
+  away.translation = {1000.0, 0.0, 0.0};
+  const double identity = mean_squared_difference(a, b, RigidTransform{}, cfg);
+  const double outside = mean_squared_difference(a, b, away, cfg);
+  EXPECT_GT(identity, 0.0);
+  EXPECT_GT(-identity, -outside);
+}
+
+TEST(MeanSquaredDifferenceTest, RegistrationDoesNotStepOutOfTheVolume) {
+  // A translation step wider than the volume makes the line search probe
+  // transforms with no overlap at all. They must not win.
+  const ImageF a = structured_volume(16, 9);
+  ImageF b = a;
+  Rng rng(10);
+  for (auto& v : b.data()) v += static_cast<float>(3.0 * rng.normal());
+  RigidRegistrationConfig rcfg;
+  rcfg.metric = MetricKind::kMeanSquaredDifference;
+  rcfg.pyramid_levels = 1;
+  rcfg.powell_iterations = 2;
+  rcfg.initial_trans_step = 40.0;
+  const auto result = register_rigid_mi(a, b, rcfg);
+  const auto p = result.transform.params();
+  EXPECT_LT(std::abs(p[3]) + std::abs(p[4]) + std::abs(p[5]), 2.0);
+  EXPECT_TRUE(std::isfinite(result.mutual_information));
+}
+
 class RigidRecoveryTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RigidRecoveryTest, RecoversKnownOffset) {
@@ -157,6 +330,10 @@ TEST_P(RigidRecoveryTest, RecoversKnownOffset) {
   EXPECT_LT(worst, 3.0) << "registration error (mm), seed " << seed;
   EXPECT_GT(result.metric_evaluations, 0);
   EXPECT_EQ(result.level_mi.size(), 2u);
+  ASSERT_EQ(result.level_evals.size(), 2u);
+  EXPECT_GT(result.level_evals[0], 0);
+  EXPECT_GT(result.level_evals[1], 0);
+  EXPECT_EQ(result.level_evals[0] + result.level_evals[1], result.metric_evaluations);
 }
 
 INSTANTIATE_TEST_SUITE_P(OffsetSweep, RigidRecoveryTest, ::testing::Range(0, 4));

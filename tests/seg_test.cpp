@@ -2,6 +2,10 @@
 // segmentation driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+
 #include "base/check.h"
 #include "par/communicator.h"
 #include "phantom/brain_phantom.h"
@@ -188,6 +192,154 @@ TEST(KnnTest, VotingModesAgreeWhenClear) {
   const ImageL a = majority.classify_volume(stack);
   const ImageL b = weighted.classify_volume(stack);
   EXPECT_DOUBLE_EQ(label_agreement(a, b), 1.0);
+}
+
+// Reference oracle: the k-NN search as first written, before the contiguous
+// prototype array, the partial-distance exit and the allocation-free top-k
+// buffer. It allocates a hit list and a std::map per query. KnnClassifier
+// must reproduce it label for label, ties included.
+std::uint8_t reference_classify(const std::vector<Prototype>& prototypes, int k_in,
+                                KnnClassifier::Voting voting,
+                                const std::vector<double>& feature) {
+  const int k = std::min<int>(k_in, static_cast<int>(prototypes.size()));
+  struct Hit {
+    double d2;
+    std::uint8_t label;
+  };
+  std::vector<Hit> best;
+  for (const auto& p : prototypes) {
+    double d2 = 0.0;
+    for (std::size_t c = 0; c < feature.size(); ++c) {
+      const double diff = feature[c] - p.features[c];
+      d2 += diff * diff;
+    }
+    if (static_cast<int>(best.size()) < k || d2 < best.back().d2) {
+      const Hit h{d2, p.label};
+      const auto pos = std::lower_bound(
+          best.begin(), best.end(), h,
+          [](const Hit& a, const Hit& b) { return a.d2 < b.d2; });
+      best.insert(pos, h);
+      if (static_cast<int>(best.size()) > k) best.pop_back();
+    }
+  }
+  if (voting == KnnClassifier::Voting::kDistanceWeighted) {
+    std::map<std::uint8_t, double> weights;
+    for (const auto& h : best) weights[h.label] += 1.0 / (h.d2 + 1e-9);
+    std::uint8_t winner = best.front().label;
+    double max_w = -1.0;
+    for (const auto& [lbl, w] : weights) {
+      if (w > max_w) {
+        max_w = w;
+        winner = lbl;
+      }
+    }
+    return winner;
+  }
+  std::map<std::uint8_t, int> votes;
+  for (const auto& h : best) ++votes[h.label];
+  int max_votes = 0;
+  for (const auto& [lbl, v] : votes) max_votes = std::max(max_votes, v);
+  for (const auto& h : best) {
+    if (votes[h.label] == max_votes) return h.label;
+  }
+  return best.front().label;
+}
+
+/// Checks KnnClassifier against the oracle on every voxel of `stack`:
+/// single-vector classify, classify_volume, and classify_volume_parallel at
+/// 1, 2 and 4 ranks.
+void expect_matches_reference(const std::vector<Prototype>& prototypes, int k,
+                              KnnClassifier::Voting voting, const FeatureStack& stack) {
+  const KnnClassifier knn(prototypes, k, voting);
+  const ImageL serial = knn.classify_volume(stack);
+  const IVec3 d = stack.dims();
+  std::vector<double> feature;
+  int mismatches = 0;
+  for (int kk = 0; kk < d.z; ++kk) {
+    for (int j = 0; j < d.y; ++j) {
+      for (int i = 0; i < d.x; ++i) {
+        stack.feature_at(i, j, kk, feature);
+        const std::uint8_t expected = reference_classify(prototypes, k, voting, feature);
+        mismatches += knn.classify(feature) != expected;
+        mismatches += serial(i, j, kk) != expected;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  for (const int ranks : {1, 2, 4}) {
+    ImageL parallel;
+    par::run_spmd(ranks, [&](par::Communicator& comm) {
+      const ImageL mine = knn.classify_volume_parallel(stack, comm);
+      if (comm.rank() == 0) parallel = mine;
+    });
+    EXPECT_EQ(parallel.data(), serial.data()) << ranks << " ranks";
+  }
+}
+
+TEST(KnnEquivalenceTest, MatchesReferenceUnderExactTiesAndDuplicates) {
+  // Small integer features (times exact weights) make equal distances
+  // common, so every tie rule is exercised: equal distances in the top-k
+  // buffer, an equal k-th distance arriving at a full buffer, majority ties
+  // and distance-weighted ties. Duplicate prototypes (same feature, same or
+  // different label) sit in the set on purpose; labels span 0 to 255.
+  const IVec3 dims{9, 8, 7};
+  Rng rng(21);
+  FeatureStack stack;
+  for (const double weight : {1.0, 1.5, 2.0}) {
+    ImageF channel(dims);
+    for (auto& v : channel.data()) v = static_cast<float>(rng.uniform_index(4));
+    stack.add_channel(std::move(channel), weight);
+  }
+  const std::array<std::uint8_t, 5> labels{0, 1, 2, 7, 255};
+  std::vector<Prototype> prototypes;
+  for (int p = 0; p < 24; ++p) {
+    Prototype proto;
+    proto.voxel = {static_cast<int>(rng.uniform_index(9)),
+                   static_cast<int>(rng.uniform_index(8)),
+                   static_cast<int>(rng.uniform_index(7))};
+    const std::size_t label_index = rng.uniform_index(labels.size());
+    proto.label = labels[label_index];
+    stack.feature_at(proto.voxel.x, proto.voxel.y, proto.voxel.z, proto.features);
+    prototypes.push_back(proto);
+    if (p % 4 == 0) {  // same feature, other label
+      proto.label = labels[(label_index + 1 + rng.uniform_index(labels.size() - 1)) %
+                           labels.size()];
+      prototypes.push_back(proto);
+    }
+    if (p % 6 == 0) prototypes.push_back(proto);  // exact duplicate
+  }
+  ASSERT_LT(prototypes.size(), 40u);
+  for (const int k : {1, 2, 5, 40}) {  // 40 > #prototypes
+    for (const auto voting :
+         {KnnClassifier::Voting::kMajority, KnnClassifier::Voting::kDistanceWeighted}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " voting "
+                                      << static_cast<int>(voting));
+      expect_matches_reference(prototypes, k, voting, stack);
+    }
+  }
+}
+
+TEST(KnnEquivalenceTest, MatchesReferenceOnPhantomFeatures) {
+  // The pipeline's feature space: intensity plus saturated distance channels
+  // and robustly selected prototypes.
+  phantom::PhantomConfig pc;
+  pc.dims = {24, 24, 24};
+  pc.spacing = {4.5, 4.5, 4.5};
+  const auto cas = phantom::make_case(pc, phantom::ShiftConfig{});
+  IntraopSegmentationConfig cfg;
+  cfg.classes = {0, 1, 2, 3, 4};
+  cfg.exclude_classes = {5, 6};
+  cfg.dt_saturation_mm = 10.0;
+  cfg.dt_weight = 1.5;
+  const FeatureStack stack = build_feature_stack(cas.intraop, cas.preop_labels, cfg);
+  Rng rng(cfg.seed);
+  const auto prototypes = select_prototypes_robust(cas.preop_labels, stack, 30, rng,
+                                                   cfg.exclude_classes, 6.0, 4.0);
+  for (const auto voting :
+       {KnnClassifier::Voting::kMajority, KnnClassifier::Voting::kDistanceWeighted}) {
+    SCOPED_TRACE(testing::Message() << "voting " << static_cast<int>(voting));
+    expect_matches_reference(prototypes, 5, voting, stack);
+  }
 }
 
 TEST(MetricsTest, DiceOfIdenticalIsOne) {
