@@ -229,17 +229,14 @@ void BM_BsrSpMV(benchmark::State& state) {
 }
 BENCHMARK(BM_BsrSpMV)->Unit(benchmark::kMillisecond);
 
-// Matrix-free operator apply on the post-BC system, one rank. storage picks
-// the policy (0 = node-pair blocks, 1 = element blocks, 2 = on-the-fly);
-// scalar:1 forces kScalar dispatch, under which the node-pair policy
-// delegates to the DistBsrMatrix kernel — i.e. storage:0/scalar:1 IS the BSR
-// baseline on the identical dropped matrix, and the perf-smoke CI gate
-// requires storage:0/scalar:0 to beat it by >= 1.3x in rows/s
-// (tools/perf/check_bench_solver.py). The label records the resolved
-// dispatch target and policy for the CI job log.
+// Matrix-free operator apply on the post-BC system, one rank. scalar:1
+// forces kScalar dispatch, under which the operator delegates to the
+// DistBsrMatrix kernel — i.e. scalar:1 IS the BSR baseline on the identical
+// dropped matrix, and the perf-smoke CI gate requires scalar:0 to beat it by
+// >= 1.3x in rows/s (tools/perf/check_bench_solver.py). The label records the
+// resolved dispatch target for the CI job log.
 void BM_MatrixFreeApply(benchmark::State& state) {
-  const auto storage = static_cast<fem::MatrixFreeStorage>(state.range(0));
-  const auto dispatch = state.range(1) != 0
+  const auto dispatch = state.range(0) != 0
                             ? solver::simd::DispatchTarget::kScalar
                             : solver::simd::DispatchTarget::kAuto;
   const auto& mesh = shared_mesh();
@@ -254,7 +251,7 @@ void BM_MatrixFreeApply(benchmark::State& state) {
   long rows = 0;
   par::run_spmd(1, [&](par::Communicator& comm) {
     fem::LocalMatrixFreeSystem sys = fem::assemble_elasticity_matrix_free(
-        mesh, topo, materials, part, {}, comm, storage, dispatch);
+        mesh, topo, materials, part, {}, comm, dispatch);
     sys.A.apply_dirichlet(bc, sys.b, comm);
     sys.A.finalize(comm);
     solver::DistVector x(sys.b.global_size(), sys.b.range(), 1.0);
@@ -264,20 +261,16 @@ void BM_MatrixFreeApply(benchmark::State& state) {
       benchmark::DoNotOptimize(y.local().data());
     }
     rows = sys.b.local_size();
-    state.SetLabel(std::string(fem::matrix_free_storage_name(sys.A.storage())) +
-                   "/" +
-                   std::string(solver::simd::dispatch_target_name(sys.A.dispatch())));
+    state.SetLabel(std::string(solver::simd::dispatch_target_name(sys.A.dispatch())));
   });
   // Rows per second: every variant applies the same operator to the same
   // vector, so rows/s ratios are direct speedups.
   state.SetItemsProcessed(state.iterations() * rows);
 }
 BENCHMARK(BM_MatrixFreeApply)
-    ->Args({0, 1})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->ArgNames({"storage", "scalar"})
+    ->Arg(1)
+    ->Arg(0)
+    ->ArgName("scalar")
     ->Unit(benchmark::kMillisecond);
 
 // The symmetric-upper 3x3 block kernel in isolation on a synthetic banded

@@ -6,7 +6,7 @@
 #include "base/check.h"
 #include "obs/trace.h"
 #include "par/communicator.h"
-#include "solver/additive_schwarz.h"
+#include "solver/preconditioner.h"
 
 namespace neuro::fem {
 
@@ -92,7 +92,7 @@ DeformationResult solve_deformation(
     if (use_mf) {
       mf.emplace(assemble_elasticity_matrix_free(
           mesh, topo, materials, partition, options.body_force, comm,
-          options.matrix_free_storage, options.simd_dispatch));
+          options.simd_dispatch));
     } else if (use_bsr) {
       bsr.emplace(assemble_elasticity_bsr(mesh, topo, materials, partition,
                                           options.body_force, comm));
@@ -147,17 +147,13 @@ DeformationResult solve_deformation(
     const solver::SchwarzPrecision precision =
         options.mixed_precision ? solver::SchwarzPrecision::kMixedFloat
                                 : solver::SchwarzPrecision::kDouble;
-    std::unique_ptr<solver::Preconditioner> precond;
-    if (use_mf && options.preconditioner ==
-                      solver::PreconditionerKind::kAdditiveSchwarzIlu0) {
-      // Schwarz replicates the CSR structure it is handed, so a temporary
-      // owned-rows export of the matrix-free operator is enough.
-      precond = std::make_unique<solver::AdditiveSchwarz>(
-          mf->A.to_csr(), comm, options.schwarz_overlap, precision);
-    } else {
-      precond = solver::make_preconditioner(options.preconditioner, A, comm,
-                                            options.schwarz_overlap, precision);
-    }
+    // The matrix-free operator's preconditioners factor the block matrix it
+    // wraps (the additive-Schwarz factory accepts a CSR or BSR operand).
+    const std::unique_ptr<solver::Preconditioner> precond =
+        solver::make_preconditioner(
+            options.preconditioner,
+            use_mf ? static_cast<const solver::LinearOperator&>(mf->A.matrix()) : A,
+            comm, options.schwarz_overlap, precision);
     solver::DistVector x(rhs.global_size(), rhs.range(), 0.0);
     solver::SolveStats local_stats;
     if (options.mixed_precision) {
@@ -196,7 +192,6 @@ DeformationResult solve_deformation(
       phase.attr("iterations", local_stats.iterations);
       phase.attr("residual", local_stats.final_residual);
       if (use_mf) {
-        phase.attr("mf_storage", matrix_free_storage_name(mf->A.storage()));
         phase.attr("simd_target",
                    solver::simd::dispatch_target_name(mf->A.dispatch()));
       }

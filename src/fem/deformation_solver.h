@@ -44,10 +44,9 @@ struct DeformationSolveOptions {
   int schwarz_overlap = 1;  ///< used by kAdditiveSchwarzIlu0 only
   KrylovKind krylov = KrylovKind::kGmres;  ///< the paper's solver
   MatrixBackend backend = MatrixBackend::kCsrReference;
-  /// kMatrixFree only: storage policy of the operator apply.
-  MatrixFreeStorage matrix_free_storage = MatrixFreeStorage::kNodePairBlocks;
-  /// kMatrixFree only: instruction-set target of the apply kernels. kAuto
-  /// probes the CPU; kScalar makes kNodePairBlocks bit-identical to kBsr.
+  /// kMatrixFree only: instruction-set target of the symmetric block apply
+  /// (matrix_free.h). kAuto probes the CPU; kScalar delegates the apply to
+  /// the wrapped block matrix, bit-identical to kBsr.
   solver::simd::DispatchTarget simd_dispatch = solver::simd::DispatchTarget::kAuto;
   /// Store the additive-Schwarz ILU(0) factors in float (solved with double
   /// accumulation) and wrap the Krylov solve in a double-precision iterative-

@@ -1,34 +1,15 @@
 #include "fem/matrix_free.h"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <span>
 
 #include "base/check.h"
 #include "fem/assembly.h"
-#include "fem/dof.h"
-#include "fem/element.h"
 #include "solver/simd/block_kernels.h"
 
 namespace neuro::fem {
 
 namespace {
-
-/// Every tet incident to an owned node, deduplicated — the same element set
-/// (and order) the assembled backends traverse.
-std::vector<mesh::TetId> collect_local_tets(const MeshTopology& topo,
-                                            base::IdRange<mesh::NodeId> owned) {
-  std::vector<mesh::TetId> local_tets;
-  for (mesh::NodeId n = owned.first; n < owned.second; ++n) {
-    local_tets.insert(local_tets.end(), topo.node_tets[n].begin(),
-                      topo.node_tets[n].end());
-  }
-  std::sort(local_tets.begin(), local_tets.end());
-  local_tets.erase(std::unique(local_tets.begin(), local_tets.end()),
-                   local_tets.end());
-  return local_tets;
-}
 
 /// Appends one 3x3 block in transposed (column-contiguous) layout.
 void push_transposed(std::vector<double>& dst, const double* a) {
@@ -43,312 +24,49 @@ void push_transposed(std::vector<double>& dst, const double* a) {
 /// extend four doubles past the last block.
 void pad_values(std::vector<double>& v) { v.insert(v.end(), 4, 0.0); }
 
-constexpr int kHaloTag = 703;  ///< distinct from BSR's 702 / Schwarz's 911
-
 }  // namespace
-
-const char* matrix_free_storage_name(MatrixFreeStorage storage) {
-  switch (storage) {
-    case MatrixFreeStorage::kNodePairBlocks:
-      return "node-pair-blocks";
-    case MatrixFreeStorage::kElementBlocks:
-      return "element-blocks";
-    case MatrixFreeStorage::kOnTheFly:
-      return "on-the-fly";
-  }
-  NEURO_REQUIRE(false, "matrix_free_storage_name: unknown storage policy");
-  return "";
-}
 
 LocalMatrixFreeSystem assemble_elasticity_matrix_free(
     const mesh::TetMesh& mesh, const MeshTopology& topo,
     const MaterialMap& materials, const mesh::Partition& partition,
-    const Vec3& body_force, par::Communicator& comm, MatrixFreeStorage storage,
+    const Vec3& body_force, par::Communicator& comm,
     solver::simd::DispatchTarget dispatch) {
-  MatrixFreeOperator A;
-  A.storage_ = storage;
-  A.target_ = solver::simd::resolve_dispatch_target(dispatch);
-
-  const base::IdRange<mesh::NodeId> owned = partition.ranges[comm.rank_id()];
-  A.node_begin_ = owned.first.value();
-  A.owned_nodes_ = owned.size();
-  A.global_size_ = kDofsPerNode * mesh.num_nodes();
-  A.range_ = row_range_of(owned);
-
-  if (storage == MatrixFreeStorage::kNodePairBlocks) {
-    // The node-pair policy wraps the natively assembled block matrix: values
-    // bit-identical to MatrixBackend::kBsr, and the scalar-dispatch apply
-    // delegates to it outright.
-    LocalBsrSystem sys = assemble_elasticity_bsr(mesh, topo, materials,
-                                                 partition, body_force, comm);
-    A.inner_.emplace(std::move(sys.A));
-    return LocalMatrixFreeSystem{std::move(A), std::move(sys.b)};
-  }
-
-  // --- Element storage: per-tet stiffness, no node-pair matrix at all. ---
-  const std::vector<mesh::TetId> local_tets = collect_local_tets(topo, owned);
-  const std::size_t ntets = local_tets.size();
-
-  // Ghost nodes: tet corners outside the owned range, sorted & unique.
-  for (const mesh::TetId t : local_tets) {
-    for (const mesh::NodeId n : mesh.tets[t]) {
-      if (!owned.contains(n)) A.ghost_ids_.push_back(n.value());
-    }
-  }
-  std::sort(A.ghost_ids_.begin(), A.ghost_ids_.end());
-  A.ghost_ids_.erase(std::unique(A.ghost_ids_.begin(), A.ghost_ids_.end()),
-                     A.ghost_ids_.end());
-
-  // Node slots per tet corner, and the interior/boundary element split that
-  // lets the apply overlap its halo exchange.
-  A.tet_slots_.resize(4 * ntets);
-  for (std::size_t ti = 0; ti < ntets; ++ti) {
-    const auto& tet = mesh.tets[local_tets[ti]];
-    bool all_owned = true;
-    for (std::size_t a = 0; a < 4; ++a) {
-      const int slot = A.slot_of_node(tet[a].value());
-      NEURO_REQUIRE(slot >= 0,
-                    "assemble_elasticity_matrix_free: tet corner has no slot");
-      A.tet_slots_[4 * ti + a] = static_cast<std::int32_t>(slot);
-      all_owned = all_owned && slot < A.owned_nodes_;
-    }
-    (all_owned ? A.interior_tets_ : A.boundary_tets_)
-        .push_back(static_cast<std::int32_t>(ti));
-  }
-
-  // Owned node → incident local tets (value_at / diagonal extraction).
-  A.node_tet_ptr_.assign(static_cast<std::size_t>(A.owned_nodes_) + 1, 0);
-  for (mesh::NodeId n = owned.first; n < owned.second; ++n) {
-    A.node_tet_ptr_[static_cast<std::size_t>(n - owned.first) + 1] =
-        A.node_tet_ptr_[static_cast<std::size_t>(n - owned.first)] +
-        static_cast<std::int32_t>(topo.node_tets[n].size());
-  }
-  A.node_tet_ids_.reserve(static_cast<std::size_t>(A.node_tet_ptr_.back()));
-  for (mesh::NodeId n = owned.first; n < owned.second; ++n) {
-    for (const mesh::TetId t : topo.node_tets[n]) {
-      const auto it = std::lower_bound(local_tets.begin(), local_tets.end(), t);
-      A.node_tet_ids_.push_back(
-          static_cast<std::int32_t>(it - local_tets.begin()));
-    }
-  }
-
-  // Stiffness storage + right-hand side. The body-force accumulation order is
-  // the assembled backends' (ascending tet, corner order within the tet), so
-  // the rhs matches them bit for bit.
-  solver::DistVector b(A.global_size_, A.range_, 0.0);
-  const bool has_body_force = norm2(body_force) > 0.0;
-  std::array<std::int32_t, 256> dmat_of_label{};
-  dmat_of_label.fill(-1);
-  if (storage == MatrixFreeStorage::kElementBlocks) {
-    A.ke_.reserve(144 * ntets);
-  } else {
-    A.tet_vertices_.reserve(12 * ntets);
-    A.tet_dmat_.reserve(ntets);
-  }
-  for (std::size_t ti = 0; ti < ntets; ++ti) {
-    const mesh::TetId t = local_tets[ti];
-    const auto& tet = mesh.tets[t];
-    const TetElement elem = TetElement::from_vertices(
-        mesh.nodes[tet[0]], mesh.nodes[tet[1]], mesh.nodes[tet[2]],
-        mesh.nodes[tet[3]]);
-    if (storage == MatrixFreeStorage::kElementBlocks) {
-      const auto D = elasticity_matrix(materials.for_label(mesh.tet_labels[t]));
-      const auto Ke = elem.stiffness(D);
-      A.ke_.insert(A.ke_.end(), Ke.begin(), Ke.end());
-    } else {
-      for (std::size_t a = 0; a < 4; ++a) {
-        const Vec3& p = mesh.nodes[tet[a]];
-        A.tet_vertices_.push_back(p.x);
-        A.tet_vertices_.push_back(p.y);
-        A.tet_vertices_.push_back(p.z);
-      }
-      const std::uint8_t label = mesh.tet_labels[t];
-      if (dmat_of_label[label] < 0) {
-        dmat_of_label[label] = static_cast<std::int32_t>(A.dmats_.size());
-        A.dmats_.push_back(elasticity_matrix(materials.for_label(label)));
-      }
-      A.tet_dmat_.push_back(dmat_of_label[label]);
-    }
-    if (has_body_force) {
-      const auto load = elem.body_force_load(body_force);
-      for (int a = 0; a < 4; ++a) {
-        const mesh::NodeId n = tet[static_cast<std::size_t>(a)];
-        if (!owned.contains(n)) continue;
-        for (int ca = 0; ca < 3; ++ca) {
-          b[row_of(dof_of(n, ca))] += load[static_cast<std::size_t>(3 * a + ca)];
-        }
-      }
-    }
-  }
-
-  // Setup accounting: kElementBlocks pays the stiffness evaluation and the Ke
-  // store here; kOnTheFly defers the stiffness to every apply.
-  if (storage == MatrixFreeStorage::kElementBlocks) {
-    comm.work().add_flops(static_cast<double>(ntets) *
-                          TetElement::kStiffnessFlops);
-    comm.work().add_mem_bytes(static_cast<double>(ntets) * 1152.0);
-  } else {
-    comm.work().add_mem_bytes(static_cast<double>(ntets) * (96.0 + 4.0));
-  }
-
-  return LocalMatrixFreeSystem{std::move(A), std::move(b)};
+  // The operator wraps the natively assembled block matrix: values
+  // bit-identical to MatrixBackend::kBsr, and the scalar-dispatch apply
+  // delegates to it outright.
+  LocalBsrSystem sys = assemble_elasticity_bsr(mesh, topo, materials, partition,
+                                               body_force, comm);
+  return LocalMatrixFreeSystem{MatrixFreeOperator(std::move(sys.A), dispatch),
+                               std::move(sys.b)};
 }
 
-int MatrixFreeOperator::node_of_slot(int slot) const {
-  return slot < owned_nodes_
-             ? node_begin_ + slot
-             : ghost_ids_[static_cast<std::size_t>(slot - owned_nodes_)];
-}
-
-int MatrixFreeOperator::slot_of_node(int node) const {
-  if (node >= node_begin_ && node < node_begin_ + owned_nodes_) {
-    return node - node_begin_;
-  }
-  const auto it = std::lower_bound(ghost_ids_.begin(), ghost_ids_.end(), node);
-  if (it == ghost_ids_.end() || *it != node) return -1;
-  return owned_nodes_ + static_cast<int>(it - ghost_ids_.begin());
-}
-
-const double* MatrixFreeOperator::tet_ke(std::size_t ti,
-                                         std::array<double, 144>& scratch) const {
-  if (storage_ == MatrixFreeStorage::kElementBlocks) {
-    return &ke_[144 * ti];
-  }
-  const double* v = &tet_vertices_[12 * ti];
-  const TetElement elem = TetElement::from_vertices(
-      Vec3{v[0], v[1], v[2]}, Vec3{v[3], v[4], v[5]}, Vec3{v[6], v[7], v[8]},
-      Vec3{v[9], v[10], v[11]});
-  scratch = elem.stiffness(dmats_[static_cast<std::size_t>(tet_dmat_[ti])]);
-  return scratch.data();
-}
+MatrixFreeOperator::MatrixFreeOperator(solver::DistBsrMatrix matrix,
+                                       solver::simd::DispatchTarget dispatch)
+    : inner_(std::move(matrix)),
+      target_(solver::simd::resolve_dispatch_target(dispatch)) {}
 
 void MatrixFreeOperator::apply_dirichlet(const DirichletSet& bc,
                                          solver::DistVector& b,
                                          par::Communicator& comm) {
   NEURO_REQUIRE(!finalized_, "MatrixFreeOperator::apply_dirichlet after finalize");
-  if (storage_ == MatrixFreeStorage::kNodePairBlocks) {
-    fem::apply_dirichlet(*inner_, b, bc, comm);
-    return;
-  }
-
-  // Element-level substitution: mark fixed slot dofs (masked out of the
-  // apply's gather/scatter), move the fixed columns' contribution to the
-  // right-hand side per element, then pin the fixed rows to their values.
-  const std::size_t nslots =
-      static_cast<std::size_t>(owned_nodes_) + ghost_ids_.size();
-  fixed_mask_.assign(3 * nslots, 0);
-  owned_fixed_rows_.clear();
-  for (const DofId dof : bc.dofs()) {
-    const int slot = slot_of_node(node_of(dof).value());
-    if (slot < 0) continue;
-    const int local = 3 * slot + axis_of(dof);
-    fixed_mask_[static_cast<std::size_t>(local)] = 1;
-    if (slot < owned_nodes_) owned_fixed_rows_.push_back(local);
-  }
-
-  const std::size_t ntets = tet_slots_.size() / 4;
-  std::array<double, 144> scratch;
-  for (std::size_t ti = 0; ti < ntets; ++ti) {
-    const std::int32_t* s = &tet_slots_[4 * ti];
-    bool any_fixed = false;
-    for (int a = 0; a < 4 && !any_fixed; ++a) {
-      for (int c = 0; c < 3 && !any_fixed; ++c) {
-        any_fixed = fixed_mask_[static_cast<std::size_t>(3 * s[a] + c)] != 0;
-      }
-    }
-    if (!any_fixed) continue;
-    const double* ke = tet_ke(ti, scratch);
-    for (int a = 0; a < 4; ++a) {
-      if (s[a] >= owned_nodes_) continue;
-      for (int ca = 0; ca < 3; ++ca) {
-        const int row = 3 * s[a] + ca;
-        if (fixed_mask_[static_cast<std::size_t>(row)]) continue;
-        double acc = 0.0;
-        for (int bn = 0; bn < 4; ++bn) {
-          for (int cb = 0; cb < 3; ++cb) {
-            if (!fixed_mask_[static_cast<std::size_t>(3 * s[bn] + cb)]) continue;
-            const DofId fixed_dof =
-                dof_of(mesh::NodeId{node_of_slot(s[bn])}, cb);
-            acc += ke[static_cast<std::size_t>(12 * (3 * a + ca) +
-                                               (3 * bn + cb))] *
-                   bc.value_of(fixed_dof);
-          }
-        }
-        b.local()[static_cast<std::size_t>(row)] -= acc;
-      }
-    }
-  }
-  for (const std::int32_t row : owned_fixed_rows_) {
-    const solver::GlobalRow grow = range_.first + row;
-    b[grow] = bc.value_of(dof_of_row(grow));
-  }
-
-  comm.work().add_mem_bytes(static_cast<double>(ntets) * 48.0);
-  comm.work().add_flops(static_cast<double>(ntets) * 24.0);
+  fem::apply_dirichlet(inner_, b, bc, comm);
 }
 
-void MatrixFreeOperator::build_halo_plan(par::Communicator& comm) {
-  std::array<std::int32_t, 2> my_range{node_begin_, node_begin_ + owned_nodes_};
-  const auto ranges =
-      comm.allgather_parts(std::span<const std::int32_t>(my_range.data(), 2));
-  const auto needs = comm.allgather_parts(
-      std::span<const std::int32_t>(ghost_ids_.data(), ghost_ids_.size()));
+void MatrixFreeOperator::finalize(par::Communicator& comm) {
+  NEURO_REQUIRE(!finalized_, "MatrixFreeOperator::finalize called twice");
+  inner_.drop_zero_blocks();
+  // One halo plan for every dispatch target: the scalar path delegates the
+  // whole apply to the wrapped matrix, the vector paths exchange over it.
+  inner_.setup_ghosts(comm);
+  finalized_ = true;
+  if (target_ == solver::simd::DispatchTarget::kScalar) return;
 
-  const Rank me = comm.rank_id();
-  // Receives: my ghosts grouped by owner. Ghost ids are sorted and rank node
-  // ranges are contiguous and ordered, so each owner's ghosts form one run.
-  std::size_t pos = 0;
-  for (Rank r{0}; r < Rank{comm.size()}; ++r) {
-    if (r == me) continue;
-    const std::int32_t lo = ranges[r.index()][0];
-    const std::int32_t hi = ranges[r.index()][1];
-    const int offset = static_cast<int>(pos);
-    int count = 0;
-    while (pos < ghost_ids_.size() && ghost_ids_[pos] >= lo &&
-           ghost_ids_[pos] < hi) {
-      ++pos;
-      ++count;
-    }
-    if (count > 0) recvs_.push_back({r, offset, count});
-  }
-  NEURO_REQUIRE(pos == ghost_ids_.size(),
-                "build_halo_plan: ghost node not owned by any rank");
-  // Sends: owned nodes other ranks listed as ghosts.
-  for (Rank r{0}; r < Rank{comm.size()}; ++r) {
-    if (r == me) continue;
-    Send sd;
-    sd.rank = r;
-    for (const std::int32_t g : needs[r.index()]) {
-      if (g >= node_begin_ && g < node_begin_ + owned_nodes_) {
-        sd.slots.push_back(g - node_begin_);
-      }
-    }
-    if (!sd.slots.empty()) sends_.push_back(std::move(sd));
-  }
-}
-
-void MatrixFreeOperator::finalize_node_pair(par::Communicator& comm) {
-  inner_->drop_zero_blocks();
-  if (target_ == solver::simd::DispatchTarget::kScalar) {
-    // Scalar dispatch delegates the whole apply to the wrapped block matrix
-    // (bit-identical to the kBsr backend), so it carries the halo plan.
-    inner_->setup_ghosts(comm);
-    return;
-  }
-
-  const solver::BlockRowRange brange = inner_->block_range();
-  const auto& brp = inner_->block_row_ptr();
-  const auto& bcols = inner_->block_cols();
-  const auto& vals = inner_->values();
-  const int nb = inner_->local_block_rows();
-
-  for (const solver::GlobalBlockRow c : bcols) {
-    if (!brange.contains(c)) ghost_ids_.push_back(c.value());
-  }
-  std::sort(ghost_ids_.begin(), ghost_ids_.end());
-  ghost_ids_.erase(std::unique(ghost_ids_.begin(), ghost_ids_.end()),
-                   ghost_ids_.end());
-  build_halo_plan(comm);
+  const solver::BlockRowRange brange = inner_.block_range();
+  const auto& brp = inner_.block_row_ptr();
+  const auto& bcols = inner_.block_cols();
+  const auto& lcols = inner_.local_block_cols();
+  const auto& vals = inner_.values();
+  const int nb = inner_.local_block_rows();
 
   const auto row_has = [&](int m, solver::GlobalBlockRow want) {
     const auto b = bcols.begin() + brp[solver::LocalBlockRow{m}];
@@ -385,10 +103,7 @@ void MatrixFreeOperator::finalize_node_pair(par::Communicator& comm) {
       if (c == gdiag) continue;
       const double* a = &vals[static_cast<std::size_t>(p) * 9U];
       if (!brange.contains(c)) {
-        const auto it =
-            std::lower_bound(ghost_ids_.begin(), ghost_ids_.end(), c.value());
-        ghost_cols_.push_back(static_cast<std::int32_t>(
-            owned_nodes_ + (it - ghost_ids_.begin())));
+        ghost_cols_.push_back(lcols[static_cast<std::size_t>(p)].value());
         push_transposed(ghost_valuesT_, a);
         continue;
       }
@@ -419,338 +134,54 @@ void MatrixFreeOperator::finalize_node_pair(par::Communicator& comm) {
   pad_values(ghost_valuesT_);
 }
 
-void MatrixFreeOperator::finalize(par::Communicator& comm) {
-  NEURO_REQUIRE(!finalized_, "MatrixFreeOperator::finalize called twice");
-  if (storage_ == MatrixFreeStorage::kNodePairBlocks) {
-    finalize_node_pair(comm);
-  } else {
-    if (fixed_mask_.empty()) {
-      fixed_mask_.assign(
-          3 * (static_cast<std::size_t>(owned_nodes_) + ghost_ids_.size()), 0);
-    }
-    build_halo_plan(comm);
-  }
-  finalized_ = true;
-}
-
 void MatrixFreeOperator::apply_node_pair(const solver::DistVector& x,
                                          solver::DistVector& y,
                                          par::Communicator& comm) const {
-  const std::size_t nb = static_cast<std::size_t>(owned_nodes_);
+  const int nb = inner_.local_block_rows();
 
   // One padded gather buffer: owned x first, ghost slots after, plus the one
   // overhang double the 4-lane loads may read (block_kernels.h contract).
-  std::vector<double> xg((nb + ghost_ids_.size()) * 3U + 1U, 0.0);
+  std::vector<double> xg(
+      (static_cast<std::size_t>(nb) + inner_.ghost_block_count()) * 3U + 1U, 0.0);
   std::copy(x.local().begin(), x.local().end(), xg.begin());
-
-  std::vector<par::Communicator::PendingRecv> pending;
-  std::vector<std::vector<double>> payloads(sends_.size());
-  if (comm.size() > 1) {
-    pending.reserve(recvs_.size());
-    for (const auto& rc : recvs_) pending.push_back(comm.irecv(rc.rank, kHaloTag));
-    for (std::size_t s = 0; s < sends_.size(); ++s) {
-      const auto& sd = sends_[s];
-      auto& payload = payloads[s];
-      payload.resize(sd.slots.size() * 3U);
-      for (std::size_t i = 0; i < sd.slots.size(); ++i) {
-        const std::size_t src = static_cast<std::size_t>(sd.slots[i]) * 3U;
-        payload[3 * i + 0] = x.local()[src + 0];
-        payload[3 * i + 1] = x.local()[src + 1];
-        payload[3 * i + 2] = x.local()[src + 2];
-      }
-      comm.isend(sd.rank, kHaloTag,
-                 std::span<const double>(payload.data(), payload.size()));
-    }
-  }
+  auto pending = inner_.begin_halo_exchange(x, comm);
 
   // Halo-free work first (the overlap): the symmetric and unpaired passes
   // touch owned columns only. The kernels accumulate, so y starts at zero.
   std::fill(y.local().begin(), y.local().end(), 0.0);
   solver::simd::block3_sym_apply(target_, sym_valuesT_.data(),
-                                 sym_row_ptr_.data(), sym_cols_.data(),
-                                 owned_nodes_, xg.data(), y.local().data());
+                                 sym_row_ptr_.data(), sym_cols_.data(), nb,
+                                 xg.data(), y.local().data());
   solver::simd::block3_accum_apply(target_, ext_valuesT_.data(),
-                                   ext_row_ptr_.data(), ext_cols_.data(),
-                                   owned_nodes_, xg.data(), y.local().data());
+                                   ext_row_ptr_.data(), ext_cols_.data(), nb,
+                                   xg.data(), y.local().data());
 
-  if (comm.size() > 1) {
-    for (std::size_t i = 0; i < recvs_.size(); ++i) {
-      const auto& rc = recvs_[i];
-      auto data = comm.wait<double>(pending[i]);
-      NEURO_REQUIRE(static_cast<int>(data.size()) == 3 * rc.count,
-                    "matrix-free apply: ghost payload size mismatch");
-      std::copy(data.begin(), data.end(),
-                xg.begin() + static_cast<std::ptrdiff_t>(
-                                 (nb + static_cast<std::size_t>(rc.offset)) * 3U));
-    }
-  }
+  inner_.finish_halo_exchange(pending, xg.data(), comm);
   solver::simd::block3_accum_apply(target_, ghost_valuesT_.data(),
-                                   ghost_row_ptr_.data(), ghost_cols_.data(),
-                                   owned_nodes_, xg.data(), y.local().data());
+                                   ghost_row_ptr_.data(), ghost_cols_.data(), nb,
+                                   xg.data(), y.local().data());
 
   // Logical work equals the BSR apply's; streamed bytes cover only the
-  // stored (compressed) blocks — that gap is the policy's speedup.
+  // stored (compressed) blocks — that gap is the compression's speedup.
   const double stored = static_cast<double>(sym_cols_.size() + ext_cols_.size() +
                                             ghost_cols_.size());
   comm.work().add_flops(kMfSymFlopsPerLogicalBlock *
-                        static_cast<double>(inner_->local_blocks()));
+                        static_cast<double>(inner_.local_blocks()));
   comm.work().add_mem_bytes(kMfSymBytesPerStoredBlock * stored +
-                            kMfSymBytesPerRow * static_cast<double>(range_.size()));
-}
-
-void MatrixFreeOperator::apply_element(std::size_t ti, const double* xg,
-                                       std::vector<double>& y_local,
-                                       std::array<double, 144>& scratch) const {
-  const std::int32_t* s = &tet_slots_[4 * ti];
-  std::array<double, 12> x12;
-  std::array<double, 12> y12{};
-  for (int a = 0; a < 4; ++a) {
-    const double* xb = xg + static_cast<std::size_t>(s[a]) * 3U;
-    x12[static_cast<std::size_t>(3 * a) + 0] = xb[0];
-    x12[static_cast<std::size_t>(3 * a) + 1] = xb[1];
-    x12[static_cast<std::size_t>(3 * a) + 2] = xb[2];
-  }
-  solver::simd::elem12_apply(target_, tet_ke(ti, scratch), x12.data(),
-                             y12.data());
-  for (int a = 0; a < 4; ++a) {
-    if (s[a] >= owned_nodes_) continue;
-    const std::size_t out = static_cast<std::size_t>(s[a]) * 3U;
-    y_local[out + 0] += y12[static_cast<std::size_t>(3 * a) + 0];
-    y_local[out + 1] += y12[static_cast<std::size_t>(3 * a) + 1];
-    y_local[out + 2] += y12[static_cast<std::size_t>(3 * a) + 2];
-  }
-}
-
-void MatrixFreeOperator::apply_elements(const solver::DistVector& x,
-                                        solver::DistVector& y,
-                                        par::Communicator& comm) const {
-  const std::size_t nowned3 = static_cast<std::size_t>(owned_nodes_) * 3U;
-
-  // Masked gather: fixed dofs contribute nothing (their columns were moved to
-  // the rhs by apply_dirichlet); their rows are pinned to x at the end.
-  std::vector<double> xg((static_cast<std::size_t>(owned_nodes_) +
-                          ghost_ids_.size()) * 3U + 1U, 0.0);
-  for (std::size_t i = 0; i < nowned3; ++i) {
-    xg[i] = fixed_mask_[i] ? 0.0 : x.local()[i];
-  }
-
-  std::vector<par::Communicator::PendingRecv> pending;
-  std::vector<std::vector<double>> payloads(sends_.size());
-  if (comm.size() > 1) {
-    pending.reserve(recvs_.size());
-    for (const auto& rc : recvs_) pending.push_back(comm.irecv(rc.rank, kHaloTag));
-    for (std::size_t s = 0; s < sends_.size(); ++s) {
-      const auto& sd = sends_[s];
-      auto& payload = payloads[s];
-      payload.resize(sd.slots.size() * 3U);
-      for (std::size_t i = 0; i < sd.slots.size(); ++i) {
-        const std::size_t src = static_cast<std::size_t>(sd.slots[i]) * 3U;
-        payload[3 * i + 0] = x.local()[src + 0];
-        payload[3 * i + 1] = x.local()[src + 1];
-        payload[3 * i + 2] = x.local()[src + 2];
-      }
-      comm.isend(sd.rank, kHaloTag,
-                 std::span<const double>(payload.data(), payload.size()));
-    }
-  }
-
-  std::fill(y.local().begin(), y.local().end(), 0.0);
-  std::array<double, 144> scratch;
-  for (const std::int32_t ti : interior_tets_) {
-    apply_element(static_cast<std::size_t>(ti), xg.data(), y.local(), scratch);
-  }
-  if (comm.size() > 1) {
-    for (std::size_t i = 0; i < recvs_.size(); ++i) {
-      const auto& rc = recvs_[i];
-      auto data = comm.wait<double>(pending[i]);
-      NEURO_REQUIRE(static_cast<int>(data.size()) == 3 * rc.count,
-                    "matrix-free apply: ghost payload size mismatch");
-      for (std::size_t k = 0; k < data.size(); ++k) {
-        const std::size_t dst =
-            (static_cast<std::size_t>(owned_nodes_) +
-             static_cast<std::size_t>(rc.offset)) * 3U + k;
-        xg[dst] = fixed_mask_[dst] ? 0.0 : data[k];
-      }
-    }
-  }
-  for (const std::int32_t ti : boundary_tets_) {
-    apply_element(static_cast<std::size_t>(ti), xg.data(), y.local(), scratch);
-  }
-  // Fixed rows are identity rows: y = x there.
-  for (const std::int32_t row : owned_fixed_rows_) {
-    y.local()[static_cast<std::size_t>(row)] =
-        x.local()[static_cast<std::size_t>(row)];
-  }
-
-  const double ntets = static_cast<double>(tet_slots_.size() / 4);
-  if (storage_ == MatrixFreeStorage::kElementBlocks) {
-    comm.work().add_flops(kMfElemFlopsPerTet * ntets);
-    comm.work().add_mem_bytes(kMfElemBytesPerTet * ntets);
-  } else {
-    comm.work().add_flops(
-        (kMfElemFlopsPerTet + TetElement::kStiffnessFlops) * ntets);
-    comm.work().add_mem_bytes(kMfOnTheFlyBytesPerTet * ntets);
-  }
+                            kMfSymBytesPerRow *
+                                static_cast<double>(inner_.local_rows()));
 }
 
 void MatrixFreeOperator::apply(const solver::DistVector& x, solver::DistVector& y,
                                par::Communicator& comm) const {
   NEURO_REQUIRE(finalized_, "MatrixFreeOperator::apply before finalize");
-  NEURO_REQUIRE(x.range() == range_ && y.range() == range_,
+  NEURO_REQUIRE(x.range() == range() && y.range() == range(),
                 "MatrixFreeOperator::apply: vector layout mismatch");
-  if (storage_ == MatrixFreeStorage::kNodePairBlocks) {
-    if (target_ == solver::simd::DispatchTarget::kScalar) {
-      inner_->apply(x, y, comm);  // bit-identical to MatrixBackend::kBsr
-      return;
-    }
-    apply_node_pair(x, y, comm);
+  if (target_ == solver::simd::DispatchTarget::kScalar) {
+    inner_.apply(x, y, comm);  // bit-identical to MatrixBackend::kBsr
     return;
   }
-  apply_elements(x, y, comm);
-}
-
-double MatrixFreeOperator::element_row_value(solver::GlobalRow global_row,
-                                             solver::GlobalRow global_col) const {
-  const int lr = range_.offset_of(global_row);
-  const bool row_fixed =
-      !fixed_mask_.empty() && fixed_mask_[static_cast<std::size_t>(lr)] != 0;
-  if (row_fixed) return global_row == global_col ? 1.0 : 0.0;
-  const int cslot = slot_of_node(global_col.value() / 3);
-  if (cslot < 0) return 0.0;
-  const int cb = global_col.value() % 3;
-  if (!fixed_mask_.empty() &&
-      fixed_mask_[static_cast<std::size_t>(3 * cslot + cb)] != 0) {
-    return 0.0;
-  }
-  const int rslot = lr / 3;
-  const int ca = lr % 3;
-  double acc = 0.0;
-  std::array<double, 144> scratch;
-  for (std::int32_t p = node_tet_ptr_[static_cast<std::size_t>(rslot)];
-       p < node_tet_ptr_[static_cast<std::size_t>(rslot) + 1]; ++p) {
-    const std::size_t ti = static_cast<std::size_t>(node_tet_ids_[static_cast<std::size_t>(p)]);
-    const std::int32_t* s = &tet_slots_[4 * ti];
-    int a = -1;
-    int bn = -1;
-    for (int k = 0; k < 4; ++k) {
-      if (s[k] == rslot) a = k;
-      if (s[k] == cslot) bn = k;
-    }
-    if (a < 0 || bn < 0) continue;
-    acc += tet_ke(ti, scratch)[static_cast<std::size_t>(12 * (3 * a + ca) +
-                                                        (3 * bn + cb))];
-  }
-  return acc;
-}
-
-double MatrixFreeOperator::value_at(solver::GlobalRow global_row,
-                                    solver::GlobalRow global_col) const {
-  NEURO_REQUIRE(range_.contains(global_row), "value_at: row not owned");
-  if (storage_ == MatrixFreeStorage::kNodePairBlocks) {
-    return inner_->value_at(global_row, global_col);
-  }
-  return element_row_value(global_row, global_col);
-}
-
-void MatrixFreeOperator::extract_diagonal_block(std::vector<int>& row_ptr,
-                                                std::vector<int>& cols,
-                                                std::vector<double>& values) const {
-  if (storage_ == MatrixFreeStorage::kNodePairBlocks) {
-    inner_->extract_diagonal_block(row_ptr, cols, values);
-    return;
-  }
-  row_ptr.assign(static_cast<std::size_t>(range_.size()) + 1, 0);
-  cols.clear();
-  values.clear();
-  std::vector<std::int32_t> nb_slots;
-  for (int n = 0; n < owned_nodes_; ++n) {
-    nb_slots.clear();
-    for (std::int32_t p = node_tet_ptr_[static_cast<std::size_t>(n)];
-         p < node_tet_ptr_[static_cast<std::size_t>(n) + 1]; ++p) {
-      const std::size_t ti =
-          static_cast<std::size_t>(node_tet_ids_[static_cast<std::size_t>(p)]);
-      for (int k = 0; k < 4; ++k) {
-        const std::int32_t slot = tet_slots_[4 * ti + static_cast<std::size_t>(k)];
-        if (slot < owned_nodes_) nb_slots.push_back(slot);
-      }
-    }
-    std::sort(nb_slots.begin(), nb_slots.end());
-    nb_slots.erase(std::unique(nb_slots.begin(), nb_slots.end()), nb_slots.end());
-
-    for (int ca = 0; ca < 3; ++ca) {
-      const int lr = 3 * n + ca;
-      const solver::GlobalRow grow = range_.first + lr;
-      if (!fixed_mask_.empty() &&
-          fixed_mask_[static_cast<std::size_t>(lr)] != 0) {
-        cols.push_back(lr);  // identity row: only the unit diagonal survives
-        values.push_back(1.0);
-      } else {
-        for (const std::int32_t m : nb_slots) {
-          for (int cb = 0; cb < 3; ++cb) {
-            const int lc = 3 * m + cb;
-            const double v = element_row_value(grow, range_.first + lc);
-            // Keep the entry set the reference path keeps after drop_zeros:
-            // nonzeros plus the scalar diagonal.
-            // NEURO_NONDET_OK(structural-zero drop: exact 0.0 is a masked/cancelled sentinel, not a tolerance test)
-            if (v != 0.0 || lc == lr) {
-              cols.push_back(lc);
-              values.push_back(v);
-            }
-          }
-        }
-      }
-      row_ptr[static_cast<std::size_t>(lr) + 1] = static_cast<int>(cols.size());
-    }
-  }
-}
-
-solver::DistCsrMatrix MatrixFreeOperator::to_csr() const {
-  if (storage_ == MatrixFreeStorage::kNodePairBlocks) {
-    return inner_->to_csr();
-  }
-  std::vector<int> rp(static_cast<std::size_t>(range_.size()) + 1, 0);
-  std::vector<int> cols;
-  std::vector<double> vals;
-  std::vector<std::int32_t> nb_nodes;  // global node ids, sorted
-  for (int n = 0; n < owned_nodes_; ++n) {
-    nb_nodes.clear();
-    for (std::int32_t p = node_tet_ptr_[static_cast<std::size_t>(n)];
-         p < node_tet_ptr_[static_cast<std::size_t>(n) + 1]; ++p) {
-      const std::size_t ti =
-          static_cast<std::size_t>(node_tet_ids_[static_cast<std::size_t>(p)]);
-      for (int k = 0; k < 4; ++k) {
-        nb_nodes.push_back(static_cast<std::int32_t>(
-            node_of_slot(tet_slots_[4 * ti + static_cast<std::size_t>(k)])));
-      }
-    }
-    std::sort(nb_nodes.begin(), nb_nodes.end());
-    nb_nodes.erase(std::unique(nb_nodes.begin(), nb_nodes.end()), nb_nodes.end());
-
-    for (int ca = 0; ca < 3; ++ca) {
-      const int lr = 3 * n + ca;
-      const solver::GlobalRow grow = range_.first + lr;
-      if (!fixed_mask_.empty() &&
-          fixed_mask_[static_cast<std::size_t>(lr)] != 0) {
-        cols.push_back(grow.value());
-        vals.push_back(1.0);
-      } else {
-        for (const std::int32_t gn : nb_nodes) {
-          for (int cb = 0; cb < 3; ++cb) {
-            const solver::GlobalRow gcol{3 * gn + cb};
-            const double v = element_row_value(grow, gcol);
-            // NEURO_NONDET_OK(structural-zero drop: exact 0.0 is a masked/cancelled sentinel, not a tolerance test)
-            if (v != 0.0 || gcol == grow) {
-              cols.push_back(gcol.value());
-              vals.push_back(v);
-            }
-          }
-        }
-      }
-      rp[static_cast<std::size_t>(lr) + 1] = static_cast<int>(cols.size());
-    }
-  }
-  return solver::DistCsrMatrix(global_size_, range_, std::move(rp),
-                               std::move(cols), std::move(vals));
+  apply_node_pair(x, y, comm);
 }
 
 }  // namespace neuro::fem

@@ -1,47 +1,29 @@
-// Matrix-free elasticity operator: y = K x with no assembled global matrix in
-// the per-iteration hot path.
+// Matrix-free elasticity operator: y = K x through the explicitly vectorized
+// block micro-kernels of src/solver/simd/, with no scalar matrix in the
+// per-iteration hot path.
 //
-// The Krylov loop only ever needs the *action* of the stiffness matrix. This
-// backend provides it through the explicitly vectorized block micro-kernels
-// of src/solver/simd/ under one of three storage policies:
-//
-//   kNodePairBlocks  one 3x3 block per node-adjacency edge (the BSR layout,
-//                    assembled bit-identically to MatrixBackend::kBsr), but
-//                    applied through a symmetric-upper compression: only
-//                    blocks (n, m) with m >= n are streamed and each
-//                    off-diagonal block serves both y_n += A x_m and
-//                    y_m += Aᵀ x_n. At the smoke mesh's ~12 blocks/row that
-//                    cuts the apply's value traffic ~46% — the apply is
-//                    memory-bound, so the cut is the speedup (docs/perf.md,
-//                    "Matrix-free cost model"). Under kScalar dispatch the
-//                    apply instead delegates to the wrapped DistBsrMatrix,
-//                    bit-identical to the kBsr backend.
-//   kElementBlocks   precomputed per-tet 12x12 element stiffness, applied by
-//                    gather x12 → Ke x12 → scatter. No node-pair structure at
-//                    all, but Ke storage streams ~5x the bytes of the BSR
-//                    values on the smoke mesh — a latency/capacity trade
-//                    documented honestly in docs/perf.md.
-//   kOnTheFly        per-tet Ke recomputed inside every apply from vertex
-//                    coordinates and the material matrix: ~1/4 the streamed
-//                    bytes of kElementBlocks at ~2700 extra flops per tet —
-//                    the compute-bound end of the storage spectrum.
+// Storage: one 3x3 block per node-adjacency edge (the BSR layout, assembled
+// bit-identically to MatrixBackend::kBsr), applied through a symmetric-upper
+// compression: only blocks (n, m) with m >= n are streamed and each
+// off-diagonal block serves both y_n += A x_m and y_m += Aᵀ x_n. At the smoke
+// mesh's ~12 blocks/row that cuts the apply's value traffic ~46% — the apply
+// is memory-bound, so the cut is the speedup (docs/perf.md, "Matrix-free cost
+// model"). Under kScalar dispatch the apply instead delegates to the wrapped
+// DistBsrMatrix, bit-identical to the kBsr backend.
 //
 // Pipeline contract (mirrors the assembled backends):
 //   assemble_elasticity_matrix_free → apply_dirichlet → finalize → apply…
-// finalize() is collective: it builds the halo-exchange plan (tag 703) and,
-// for kNodePairBlocks under vector dispatch, the compressed symmetric arrays.
+// finalize() is collective: it builds the wrapped matrix's halo-exchange plan,
+// which every dispatch target shares, and, under vector dispatch, the
+// compressed symmetric arrays.
 //
-// Determinism: each rank accumulates into its owned rows only, in a fixed
-// sorted traversal order (sorted element list / ascending block rows), so
-// repeated applies are bit-identical for every policy and dispatch target.
-// Cross-backend: kNodePairBlocks+kScalar equals kBsr bit for bit; every other
-// (policy, target) combination is tolerance-equivalent (the vector kernels
-// reorder per-row reductions; element policies re-associate the assembly sum).
+// Determinism: each rank accumulates into its owned rows only, in ascending
+// block-row order, so repeated applies are bit-identical for every dispatch
+// target. Cross-backend: kScalar equals kBsr bit for bit; the vector targets
+// are tolerance-equivalent (their kernels reorder per-row reductions).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "fem/boundary.h"
@@ -50,69 +32,57 @@
 #include "mesh/tet_mesh.h"
 #include "par/communicator.h"
 #include "solver/bsr_matrix.h"
-#include "solver/dist_matrix.h"
 #include "solver/dist_vector.h"
 #include "solver/operator.h"
 #include "solver/simd/dispatch.h"
 
 namespace neuro::fem {
 
-/// Storage policy of the matrix-free apply (see file comment).
-enum class MatrixFreeStorage : std::uint8_t {
-  kNodePairBlocks,
-  kElementBlocks,
-  kOnTheFly,
-};
-
-/// Short stable name, e.g. "node-pair-blocks" (span attributes, bench labels).
-[[nodiscard]] const char* matrix_free_storage_name(MatrixFreeStorage storage);
-
 // Cost-model terms (docs/perf.md, "Matrix-free cost model"); the apply's work
 // accounting uses exactly these, so the perf model and the counters agree.
 inline constexpr double kMfSymFlopsPerLogicalBlock = 18.0;  ///< same math as BSR
 inline constexpr double kMfSymBytesPerStoredBlock = 76.0;   ///< 9 vals + col idx
 inline constexpr double kMfSymBytesPerRow = 16.0;           ///< x load + y store
-inline constexpr double kMfElemFlopsPerTet = 288.0;         ///< 12x12 mat-vec
-inline constexpr double kMfElemBytesPerTet = 1152.0 + 192.0;  ///< Ke + x12/y12
-inline constexpr double kMfOnTheFlyBytesPerTet = 96.0 + 288.0 + 192.0;  ///< verts + D + x12/y12
-
-class MatrixFreeOperator;
 
 /// One rank's piece of the system under the matrix-free backend.
 struct LocalMatrixFreeSystem;
 
 /// Matrix-free analogue of assemble_elasticity[_bsr]: same element traversal,
-/// same right-hand side. For kNodePairBlocks the wrapped block matrix is
-/// bit-identical to the kBsr backend's. `dispatch` is resolved immediately
-/// (kAuto probes the CPU); pass kScalar for the bitwise-reference path.
+/// same right-hand side, and a wrapped block matrix bit-identical to the kBsr
+/// backend's. `dispatch` is resolved immediately (kAuto probes the CPU); pass
+/// kScalar for the bitwise-reference path.
 [[nodiscard]] LocalMatrixFreeSystem assemble_elasticity_matrix_free(
     const mesh::TetMesh& mesh, const MeshTopology& topo,
     const MaterialMap& materials, const mesh::Partition& partition,
-    const Vec3& body_force, par::Communicator& comm, MatrixFreeStorage storage,
+    const Vec3& body_force, par::Communicator& comm,
     solver::simd::DispatchTarget dispatch);
 
 class MatrixFreeOperator final : public solver::LinearOperator {
  public:
-  [[nodiscard]] int global_size() const override { return global_size_; }
-  [[nodiscard]] solver::RowRange range() const override { return range_; }
+  MatrixFreeOperator(solver::DistBsrMatrix matrix,
+                     solver::simd::DispatchTarget dispatch);
 
-  /// y = A x (collective). Requires finalize(). Ghost x values travel on tag
-  /// 703 while the halo-free part of the apply computes (the BSR backend's
-  /// VecScatterBegin/End overlap, at node granularity).
+  [[nodiscard]] int global_size() const override { return inner_.global_size(); }
+  [[nodiscard]] solver::RowRange range() const override { return inner_.range(); }
+
+  /// y = A x (collective). Requires finalize(). Ghost x values travel over
+  /// the wrapped matrix's halo plan while the halo-free part of the apply
+  /// computes (the BSR backend's VecScatterBegin/End overlap).
   void apply(const solver::DistVector& x, solver::DistVector& y,
              par::Communicator& comm) const override;
 
   [[nodiscard]] double value_at(solver::GlobalRow global_row,
-                                solver::GlobalRow global_col) const override;
+                                solver::GlobalRow global_col) const override {
+    return inner_.value_at(global_row, global_col);
+  }
 
   void extract_diagonal_block(std::vector<int>& row_ptr, std::vector<int>& cols,
-                              std::vector<double>& values) const override;
+                              std::vector<double>& values) const override {
+    inner_.extract_diagonal_block(row_ptr, cols, values);
+  }
 
-  /// Dirichlet substitution without an assembled matrix. kNodePairBlocks
-  /// substitutes in the wrapped block matrix (bit-identical to the kBsr
-  /// path); element policies mask fixed dofs in the apply's gather/scatter
-  /// and move the fixed columns' contribution to `b` element by element —
-  /// the same operator in exact arithmetic. Call before finalize().
+  /// Dirichlet substitution in the wrapped block matrix (bit-identical to the
+  /// kBsr path). Call before finalize().
   void apply_dirichlet(const DirichletSet& bc, solver::DistVector& b,
                        par::Communicator& comm);
 
@@ -120,60 +90,23 @@ class MatrixFreeOperator final : public solver::LinearOperator {
   /// arrays. Must be called (on every rank simultaneously) before apply().
   void finalize(par::Communicator& comm);
 
-  /// Owned rows as scalar CSR with the reference entry rule (nonzeros plus
-  /// the scalar diagonal) — the additive-Schwarz construction input.
-  [[nodiscard]] solver::DistCsrMatrix to_csr() const;
-
-  [[nodiscard]] MatrixFreeStorage storage() const { return storage_; }
+  /// The wrapped block matrix: the assembled values every preconditioner
+  /// (Schwarz included) is built from.
+  [[nodiscard]] const solver::DistBsrMatrix& matrix() const { return inner_; }
   /// The resolved dispatch target the apply kernels run on (never kAuto).
   [[nodiscard]] solver::simd::DispatchTarget dispatch() const { return target_; }
 
  private:
-  friend LocalMatrixFreeSystem assemble_elasticity_matrix_free(
-      const mesh::TetMesh& mesh, const MeshTopology& topo,
-      const MaterialMap& materials, const mesh::Partition& partition,
-      const Vec3& body_force, par::Communicator& comm, MatrixFreeStorage storage,
-      solver::simd::DispatchTarget dispatch);
-
-  MatrixFreeOperator() = default;
-
-  // Global node id of a local slot (owned slots first, then ghosts).
-  [[nodiscard]] int node_of_slot(int slot) const;
-  // Local slot of a global node id; -1 when the node is not referenced here.
-  [[nodiscard]] int slot_of_node(int node) const;
-  // Element stiffness of local tet `ti` (pointer into storage, or `scratch`
-  // freshly computed for kOnTheFly).
-  [[nodiscard]] const double* tet_ke(std::size_t ti,
-                                     std::array<double, 144>& scratch) const;
-  // One element's gather → kernel → scatter into y (element policies).
-  void apply_element(std::size_t ti, const double* xg,
-                     std::vector<double>& y_local,
-                     std::array<double, 144>& scratch) const;
-  // Owned-row scalar entries of `global_row` against the dofs of owned slot
-  // (element policies; Dirichlet masks applied).
-  [[nodiscard]] double element_row_value(solver::GlobalRow global_row,
-                                         solver::GlobalRow global_col) const;
-
   void apply_node_pair(const solver::DistVector& x, solver::DistVector& y,
                        par::Communicator& comm) const;
-  void apply_elements(const solver::DistVector& x, solver::DistVector& y,
-                      par::Communicator& comm) const;
-  void finalize_node_pair(par::Communicator& comm);
-  void build_halo_plan(par::Communicator& comm);
 
-  MatrixFreeStorage storage_ = MatrixFreeStorage::kNodePairBlocks;
-  solver::simd::DispatchTarget target_ = solver::simd::DispatchTarget::kScalar;
-  int global_size_ = 0;
-  solver::RowRange range_{};
-  int owned_nodes_ = 0;
-  int node_begin_ = 0;  ///< first owned mesh node id
+  // The wrapped block matrix (assembled values, halo plan, and the bit-exact
+  // scalar-dispatch apply) plus the compressed symmetric arrays the vector
+  // kernels stream. valuesT arrays are transposed per block and padded four
+  // doubles past the last block (kernel contract, block_kernels.h).
+  solver::DistBsrMatrix inner_;
+  solver::simd::DispatchTarget target_;
   bool finalized_ = false;
-
-  // --- kNodePairBlocks: the wrapped block matrix (assembled values; also the
-  // bit-exact scalar-dispatch apply) plus the compressed symmetric arrays the
-  // vector kernels stream. valuesT arrays are transposed per block and padded
-  // four doubles past the last block (kernel contract, block_kernels.h).
-  std::optional<solver::DistBsrMatrix> inner_;
   std::vector<std::int32_t> sym_row_ptr_;  ///< diag-first, then paired m > n
   std::vector<std::int32_t> sym_cols_;
   std::vector<double> sym_valuesT_;
@@ -181,36 +114,8 @@ class MatrixFreeOperator final : public solver::LinearOperator {
   std::vector<std::int32_t> ext_cols_;
   std::vector<double> ext_valuesT_;
   std::vector<std::int32_t> ghost_row_ptr_;  ///< off-rank block columns
-  std::vector<std::int32_t> ghost_cols_;     ///< slot = owned_nodes_ + ghost
+  std::vector<std::int32_t> ghost_cols_;     ///< the wrapped matrix's ghost slots
   std::vector<double> ghost_valuesT_;
-
-  // --- element policies: local tets (sorted union over owned nodes, as in
-  // assembly) with node slots, plus per-tet stiffness storage.
-  std::vector<std::int32_t> tet_slots_;  ///< 4 per tet
-  std::vector<std::int32_t> interior_tets_;  ///< all four slots owned
-  std::vector<std::int32_t> boundary_tets_;  ///< at least one ghost slot
-  std::vector<double> ke_;            ///< kElementBlocks: 144 per tet
-  std::vector<double> tet_vertices_;  ///< kOnTheFly: 12 per tet
-  std::vector<std::int32_t> tet_dmat_;  ///< kOnTheFly: index into dmats_
-  std::vector<std::array<std::array<double, 6>, 6>> dmats_;
-  std::vector<std::int32_t> node_tet_ptr_;  ///< owned node → incident local tets
-  std::vector<std::int32_t> node_tet_ids_;
-  std::vector<std::uint8_t> fixed_mask_;  ///< per slot dof (3 per slot)
-  std::vector<std::int32_t> owned_fixed_rows_;  ///< local scalar rows, sorted
-
-  // --- halo plan (node granular; for kNodePairBlocks, node == block row).
-  std::vector<std::int32_t> ghost_ids_;  ///< sorted global ids of ghost slots
-  struct Send {
-    Rank rank;
-    std::vector<std::int32_t> slots;  ///< owned slots to ship to `rank`
-  };
-  struct Recv {
-    Rank rank;
-    int offset;  ///< first ghost slot this rank fills
-    int count;
-  };
-  std::vector<Send> sends_;
-  std::vector<Recv> recvs_;
 };
 
 struct LocalMatrixFreeSystem {

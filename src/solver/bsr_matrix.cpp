@@ -13,6 +13,7 @@ namespace neuro::solver {
 namespace {
 
 constexpr int kB = DistBsrMatrix::kBlock;
+constexpr int kHaloTag = 702;  ///< distinct from Schwarz's 911
 
 /// Register-blocked y = A x over a list of block rows. Each scalar row
 /// accumulates its products in the same association order as the scalar CSR
@@ -285,6 +286,40 @@ void DistBsrMatrix::compute_rows(const std::vector<LocalBlockRow>& rows,
   }
 }
 
+std::vector<par::Communicator::PendingRecv> DistBsrMatrix::begin_halo_exchange(
+    const DistVector& x, par::Communicator& comm) const {
+  std::vector<par::Communicator::PendingRecv> pending;
+  pending.reserve(recvs_.size());
+  for (const auto& rc : recvs_) pending.push_back(comm.irecv(rc.rank, kHaloTag));
+  std::vector<double> payload;
+  for (const auto& ex : sends_) {
+    payload.resize(ex.local_indices.size() * 3U);
+    for (std::size_t i = 0; i < ex.local_indices.size(); ++i) {
+      const std::size_t src = ex.local_indices[i].index() * 3U;
+      payload[3 * i + 0] = x.local()[src + 0];
+      payload[3 * i + 1] = x.local()[src + 1];
+      payload[3 * i + 2] = x.local()[src + 2];
+    }
+    comm.isend(ex.rank, kHaloTag,
+               std::span<const double>(payload.data(), payload.size()));
+  }
+  return pending;
+}
+
+void DistBsrMatrix::finish_halo_exchange(
+    std::vector<par::Communicator::PendingRecv>& pending, double* xg,
+    par::Communicator& comm) const {
+  const std::size_t nb = static_cast<std::size_t>(local_block_rows());
+  for (std::size_t i = 0; i < recvs_.size(); ++i) {
+    const auto& rc = recvs_[i];
+    auto data = comm.wait<double>(pending[i]);
+    NEURO_REQUIRE(static_cast<int>(data.size()) == 3 * rc.count,
+                  "DistBsrMatrix: ghost payload size mismatch");
+    std::copy(data.begin(), data.end(),
+              xg + (nb + static_cast<std::size_t>(rc.ghost_offset)) * 3U);
+  }
+}
+
 void DistBsrMatrix::apply(const DistVector& x, DistVector& y,
                           par::Communicator& comm) const {
   NEURO_REQUIRE(ghosts_ready_ || comm.size() == 1,
@@ -296,43 +331,12 @@ void DistBsrMatrix::apply(const DistVector& x, DistVector& y,
   std::vector<double> xg((nb + ghost_blocks_.size()) * 3U);
   std::copy(x.local().begin(), x.local().end(), xg.begin());
 
-  if (comm.size() > 1 && ghosts_ready_) {
-    constexpr int kTag = 702;
-    // VecScatterBegin: post the receives, then ship the halo nonblocking.
-    std::vector<par::Communicator::PendingRecv> pending;
-    pending.reserve(recvs_.size());
-    for (const auto& rc : recvs_) pending.push_back(comm.irecv(rc.rank, kTag));
-    std::vector<std::vector<double>> payloads(sends_.size());
-    for (std::size_t s = 0; s < sends_.size(); ++s) {
-      const auto& ex = sends_[s];
-      auto& payload = payloads[s];
-      payload.resize(ex.local_indices.size() * 3U);
-      for (std::size_t i = 0; i < ex.local_indices.size(); ++i) {
-        const std::size_t src = ex.local_indices[i].index() * 3U;
-        payload[3 * i + 0] = x.local()[src + 0];
-        payload[3 * i + 1] = x.local()[src + 1];
-        payload[3 * i + 2] = x.local()[src + 2];
-      }
-      comm.isend(ex.rank, kTag,
-                 std::span<const double>(payload.data(), payload.size()));
-    }
-    // Interior rows need no ghosts: compute them while messages are in flight.
-    compute_rows(interior_rows_, xg.data(), y);
-    // VecScatterEnd: complete the receives, then finish the boundary rows.
-    for (std::size_t i = 0; i < recvs_.size(); ++i) {
-      const auto& rc = recvs_[i];
-      auto data = comm.wait<double>(pending[i]);
-      NEURO_REQUIRE(static_cast<int>(data.size()) == 3 * rc.count,
-                    "DistBsrMatrix::apply: ghost payload size mismatch");
-      std::copy(data.begin(), data.end(),
-                xg.begin() + static_cast<std::ptrdiff_t>(
-                                 (nb + static_cast<std::size_t>(rc.ghost_offset)) * 3U));
-    }
-    compute_rows(boundary_rows_, xg.data(), y);
-  } else {
-    compute_rows(interior_rows_, xg.data(), y);
-    compute_rows(boundary_rows_, xg.data(), y);
-  }
+  // VecScatterBegin, then the interior rows (no ghosts) while the messages
+  // are in flight; VecScatterEnd, then the boundary rows.
+  auto pending = begin_halo_exchange(x, comm);
+  compute_rows(interior_rows_, xg.data(), y);
+  finish_halo_exchange(pending, xg.data(), comm);
+  compute_rows(boundary_rows_, xg.data(), y);
 
   const double nblocks = static_cast<double>(block_cols_.size());
   comm.work().add_flops(18.0 * nblocks);

@@ -109,6 +109,24 @@ class DistBsrMatrix : public LinearOperator {
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
   [[nodiscard]] std::vector<double>& values() { return values_; }
 
+  /// Local block column per stored block (valid after setup_ghosts): owned
+  /// block columns map to [0, local_block_rows()), ghosts to the slots after.
+  [[nodiscard]] const std::vector<LocalBlockRow>& local_block_cols() const {
+    return local_block_cols_;
+  }
+  /// Ghost slots of the halo plan (0 before setup_ghosts).
+  [[nodiscard]] std::size_t ghost_block_count() const { return ghost_blocks_.size(); }
+
+  /// apply()'s halo exchange, split so another kernel over this block
+  /// structure can overlap it (fem::MatrixFreeOperator). begin posts the
+  /// ghost receives and ships owned x blocks nonblocking; finish waits and
+  /// writes the ghost x values into `xg` from slot local_block_rows() on.
+  /// Both are no-ops without ghosts (one rank).
+  [[nodiscard]] std::vector<par::Communicator::PendingRecv> begin_halo_exchange(
+      const DistVector& x, par::Communicator& comm) const;
+  void finish_halo_exchange(std::vector<par::Communicator::PendingRecv>& pending,
+                            double* xg, par::Communicator& comm) const;
+
   /// Interior/boundary split (valid after setup_ghosts; before it, every row
   /// is interior).
   [[nodiscard]] const std::vector<LocalBlockRow>& interior_rows() const {

@@ -395,23 +395,16 @@ SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
     x.axpy(alpha, p, comm);
     r.axpy(-alpha, Ap, comm);
 
-    double rnorm = 0.0;
-    double rz_new = 0.0;
-    if (config.fuse_reductions) {
-      // z = M⁻¹ r is needed for the next search direction anyway; computing
-      // it before the convergence test lets ‖r‖² and rᵀz share one allreduce
-      // (3 → 2 collectives per iteration). The span reduction sums each
-      // component in rank order, so both scalars match the unfused path bit
-      // for bit; the only waste is one preconditioner apply on the final
-      // iteration.
-      M.apply(r, z, comm);
-      std::array<double, 2> d{r.dot_local(r, comm), r.dot_local(z, comm)};
-      comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-      rnorm = std::sqrt(d[0]);
-      rz_new = d[1];
-    } else {
-      rnorm = r.norm2(comm);
-    }
+    // z = M⁻¹ r is needed for the next search direction anyway; computing it
+    // before the convergence test lets ‖r‖² and rᵀz share one allreduce
+    // (2 collectives per iteration). The span reduction sums each component
+    // in rank order; the only waste is one preconditioner apply on the final
+    // iteration.
+    M.apply(r, z, comm);
+    std::array<double, 2> d{r.dot_local(r, comm), r.dot_local(z, comm)};
+    comm.allreduce_sum(std::span<double>(d.data(), d.size()));
+    const double rnorm = std::sqrt(d[0]);
+    const double rz_new = d[1];
     stats.final_residual = rnorm;
     if (config.record_history) stats.history.push_back(rnorm);
     if (iter_span.active()) {
@@ -435,10 +428,6 @@ SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
       return stats;
     }
 
-    if (!config.fuse_reductions) {
-      M.apply(r, z, comm);
-      rz_new = r.dot(z, comm);
-    }
     const double betak = rz_new / rz;
     rz = rz_new;
     // p = z + beta p
@@ -463,8 +452,8 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
   r.scale(-1.0, comm);
   r.axpy(1.0, b, comm);
   // Same collective and the same arithmetic as r.norm2(comm); keeping rr0
-  // around lets the fused path seed the first rho without another reduction
-  // (r0 == r at entry, so r0ᵀr == rᵀr).
+  // around seeds the first rho without another reduction (r0 == r at entry,
+  // so r0ᵀr == rᵀr).
   const double rr0 = r.dot(r, comm);
   stats.initial_residual = std::sqrt(rr0);
   stats.final_residual = stats.initial_residual;
@@ -479,7 +468,7 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
 
   r0 = r;
   double rho = 1.0, alpha = 1.0, omega = 1.0;
-  double rho_pending = rr0;  ///< fused path: r0ᵀr carried from the last fused allreduce
+  double rho_pending = rr0;  ///< r0ᵀr carried from the last fused allreduce
 
   const auto breakdown = [&stats](const char* what) {
     stats.stop_reason = StopReason::kBreakdown;
@@ -490,10 +479,9 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
     obs::Span iter_span = obs::global_span("bicgstab.iteration");
     const double rounds_before =
         iter_span.active() ? comm.work().current().coll_rounds : 0.0;
-    // Fused: r0ᵀr was batched into the allreduce that ended the previous
-    // iteration (or equals rr0 on entry), so the loop head is collective-free.
-    const double rho_new =
-        config.fuse_reductions ? rho_pending : r0.dot(r, comm);
+    // r0ᵀr was batched into the allreduce that ended the previous iteration
+    // (or equals rr0 on entry), so the loop head is collective-free.
+    const double rho_new = rho_pending;
     if (std::abs(rho_new) < 1e-300) {
       breakdown("rho -> 0");
       break;
@@ -541,40 +529,27 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
 
     M.apply(s, sh, comm);
     A.apply(sh, t, comm);
-    double tt = 0.0;
-    double ts = 0.0;
-    if (config.fuse_reductions) {
-      // tᵀt and tᵀs share one allreduce (both needed for omega).
-      std::array<double, 2> d{t.dot_local(t, comm), t.dot_local(s, comm)};
-      comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-      tt = d[0];
-      ts = d[1];
-    } else {
-      tt = t.dot(t, comm);
-    }
+    // tᵀt and tᵀs share one allreduce (both needed for omega).
+    std::array<double, 2> tts{t.dot_local(t, comm), t.dot_local(s, comm)};
+    comm.allreduce_sum(std::span<double>(tts.data(), tts.size()));
+    const double tt = tts[0];
     if (tt < 1e-300) {
       breakdown("t.t -> 0");
       break;
     }
-    omega = (config.fuse_reductions ? ts : t.dot(s, comm)) / tt;
+    omega = tts[1] / tt;
 
     x.axpy(alpha, ph, comm);
     x.axpy(omega, sh, comm);
     r = s;
     r.axpy(-omega, t, comm);
 
-    double rnorm = 0.0;
-    if (config.fuse_reductions) {
-      // ‖r‖² and the next iteration's r0ᵀr share the closing allreduce.
-      // With both fusions BiCGStab runs 4 collectives per iteration instead
-      // of 6; the values are bit-identical (rank-ordered span reduction).
-      std::array<double, 2> d{r.dot_local(r, comm), r0.dot_local(r, comm)};
-      comm.allreduce_sum(std::span<double>(d.data(), d.size()));
-      rnorm = std::sqrt(d[0]);
-      rho_pending = d[1];
-    } else {
-      rnorm = r.norm2(comm);
-    }
+    // ‖r‖² and the next iteration's r0ᵀr share the closing allreduce, so
+    // BiCGStab runs 4 collectives per iteration (rank-ordered span reduction).
+    std::array<double, 2> rr{r.dot_local(r, comm), r0.dot_local(r, comm)};
+    comm.allreduce_sum(std::span<double>(rr.data(), rr.size()));
+    const double rnorm = std::sqrt(rr[0]);
+    rho_pending = rr[1];
     stats.final_residual = rnorm;
     if (config.record_history) stats.history.push_back(rnorm);
     if (iter_span.active()) {

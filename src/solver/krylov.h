@@ -67,11 +67,6 @@ struct SolverConfig {
   /// Second classical-GS pass (DGKS) restoring MGS-level orthogonality at the
   /// cost of one extra batched allreduce; ignored under kModified.
   bool gmres_reorthogonalize = false;
-  /// Fuse CG/BiCGStab per-iteration dot/norm pairs into one allreduce over a
-  /// small buffer. Bit-identical results (rank-ordered component-wise
-  /// reduction), fewer latency-bound collectives; off reproduces the legacy
-  /// one-allreduce-per-scalar sequence.
-  bool fuse_reductions = true;
   bool record_history = false;
   WatchdogConfig watchdog;
 };
@@ -97,12 +92,14 @@ SolveStats gmres(const LinearOperator& A, const DistVector& b, DistVector& x,
                  par::Communicator& comm);
 
 /// Preconditioned conjugate gradients (A and M must be SPD; the elasticity
-/// system with substituted Dirichlet rows is).
+/// system with substituted Dirichlet rows is). Two allreduce rounds per
+/// iteration: pᵀAp, then ‖r‖² fused with rᵀz.
 SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
               const Preconditioner& M, const SolverConfig& config,
               par::Communicator& comm);
 
-/// Right-preconditioned BiCGStab.
+/// Right-preconditioned BiCGStab. Four allreduce rounds per iteration: r0ᵀv,
+/// ‖s‖, tᵀt fused with tᵀs, and ‖r‖² fused with the next r0ᵀr.
 SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
                     const Preconditioner& M, const SolverConfig& config,
                     par::Communicator& comm);

@@ -98,18 +98,6 @@ void block3_accum_scalar(const double* valuesT, const std::int32_t* row_ptr,
   }
 }
 
-NEURO_BITEXACT
-void elem12_scalar(const double* ke, const double* x12, double* y12) {
-  for (int r = 0; r < 12; ++r) {
-    const double* row = ke + static_cast<std::size_t>(r) * 12U;
-    double acc = 0.0;
-    for (int c = 0; c < 12; ++c) {
-      acc += row[c] * x12[c];
-    }
-    y12[r] += acc;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SSE2 (x86-64 baseline): 2-lane columns, scalar third row.
 // ---------------------------------------------------------------------------
@@ -164,23 +152,6 @@ void block3_accum_sse2(const double* valuesT, const std::int32_t* row_ptr,
     double* yn = y + static_cast<std::size_t>(br) * 3U;
     _mm_storeu_pd(yn, _mm_add_pd(_mm_loadu_pd(yn), acc01));
     yn[2] += acc2;
-  }
-}
-
-void elem12_sse2(const double* ke, const double* x12, double* y12) {
-  __m128d acc[6];
-  for (int j = 0; j < 6; ++j) {
-    acc[j] = _mm_loadu_pd(y12 + 2 * j);
-  }
-  for (int a = 0; a < 12; ++a) {
-    const __m128d xa = _mm_set1_pd(x12[a]);
-    const double* col = ke + static_cast<std::size_t>(a) * 12U;
-    for (int j = 0; j < 6; ++j) {
-      acc[j] = _mm_add_pd(acc[j], _mm_mul_pd(_mm_loadu_pd(col + 2 * j), xa));
-    }
-  }
-  for (int j = 0; j < 6; ++j) {
-    _mm_storeu_pd(y12 + 2 * j, acc[j]);
   }
 }
 
@@ -273,24 +244,6 @@ __attribute__((target("avx2,fma"))) void block3_accum_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void elem12_avx2(const double* ke,
-                                                     const double* x12,
-                                                     double* y12) {
-  __m256d acc0 = _mm256_loadu_pd(y12 + 0);
-  __m256d acc1 = _mm256_loadu_pd(y12 + 4);
-  __m256d acc2 = _mm256_loadu_pd(y12 + 8);
-  for (int a = 0; a < 12; ++a) {
-    const __m256d xa = _mm256_broadcast_sd(x12 + a);
-    const double* col = ke + static_cast<std::size_t>(a) * 12U;
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(col + 0), xa, acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(col + 4), xa, acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(col + 8), xa, acc2);
-  }
-  _mm256_storeu_pd(y12 + 0, acc0);
-  _mm256_storeu_pd(y12 + 4, acc1);
-  _mm256_storeu_pd(y12 + 8, acc2);
-}
-
 #endif  // NEURO_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -351,56 +304,9 @@ void block3_accum_neon(const double* valuesT, const std::int32_t* row_ptr,
   }
 }
 
-void elem12_neon(const double* ke, const double* x12, double* y12) {
-  float64x2_t acc[6];
-  for (int j = 0; j < 6; ++j) {
-    acc[j] = vld1q_f64(y12 + 2 * j);
-  }
-  for (int a = 0; a < 12; ++a) {
-    const double xa = x12[a];
-    const double* col = ke + static_cast<std::size_t>(a) * 12U;
-    for (int j = 0; j < 6; ++j) {
-      acc[j] = vfmaq_n_f64(acc[j], vld1q_f64(col + 2 * j), xa);
-    }
-  }
-  for (int j = 0; j < 6; ++j) {
-    vst1q_f64(y12 + 2 * j, acc[j]);
-  }
-}
-
 #endif  // NEURO_SIMD_NEON
 
 }  // namespace
-
-NEURO_BITEXACT
-void block3_rows_scalar(const double* values, const std::int32_t* row_ptr,
-                        const std::int32_t* cols, int nrows, const double* xg,
-                        double* y) {
-  for (int br = 0; br < nrows; ++br) {
-    const std::int32_t pb = row_ptr[br];
-    const std::int32_t pe = row_ptr[br + 1];
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    double acc2 = 0.0;
-    for (std::int32_t p = pb; p < pe; ++p) {
-      const double* a = values + static_cast<std::size_t>(p) * 9U;
-      const double* xb = xg + static_cast<std::size_t>(cols[p]) * 3U;
-      acc0 += a[0] * xb[0];
-      acc0 += a[1] * xb[1];
-      acc0 += a[2] * xb[2];
-      acc1 += a[3] * xb[0];
-      acc1 += a[4] * xb[1];
-      acc1 += a[5] * xb[2];
-      acc2 += a[6] * xb[0];
-      acc2 += a[7] * xb[1];
-      acc2 += a[8] * xb[2];
-    }
-    const std::size_t out = static_cast<std::size_t>(br) * 3U;
-    y[out + 0] = acc0;
-    y[out + 1] = acc1;
-    y[out + 2] = acc2;
-  }
-}
 
 void block3_sym_apply(DispatchTarget target, const double* valuesT,
                       const std::int32_t* row_ptr, const std::int32_t* cols,
@@ -472,42 +378,6 @@ void block3_accum_apply(DispatchTarget target, const double* valuesT,
 #endif
   }
   NEURO_REQUIRE(false, "block3_accum_apply: target '"
-                           << dispatch_target_name(target)
-                           << "' not compiled into this build");
-}
-
-void elem12_apply(DispatchTarget target, const double* ke, const double* x12,
-                  double* y12) {
-  switch (target) {
-    case DispatchTarget::kAuto:
-      elem12_apply(detect_dispatch_target(), ke, x12, y12);
-      return;
-    case DispatchTarget::kScalar:
-      elem12_scalar(ke, x12, y12);
-      return;
-    case DispatchTarget::kSse2:
-#if defined(NEURO_SIMD_X86)
-      elem12_sse2(ke, x12, y12);
-      return;
-#else
-      break;
-#endif
-    case DispatchTarget::kAvx2:
-#if defined(NEURO_SIMD_X86)
-      elem12_avx2(ke, x12, y12);
-      return;
-#else
-      break;
-#endif
-    case DispatchTarget::kNeon:
-#if defined(NEURO_SIMD_NEON)
-      elem12_neon(ke, x12, y12);
-      return;
-#else
-      break;
-#endif
-  }
-  NEURO_REQUIRE(false, "elem12_apply: target '"
                            << dispatch_target_name(target)
                            << "' not compiled into this build");
 }

@@ -1,4 +1,4 @@
-// Explicitly vectorized 3x3 / 12x12 block micro-kernels.
+// Explicitly vectorized 3x3 block micro-kernels.
 //
 // This directory is the only place in the tree allowed to touch raw SIMD
 // intrinsics (tools/lint/check_sources.py, "intrinsics confinement"); every
@@ -9,12 +9,9 @@
 // tolerance-equivalent, never bit-equivalent, to the scalar reference
 // (docs/perf.md, "SIMD dispatch").
 //
-// Storage layouts:
-//   * full row-major     9 doubles per block, A(r, c) = a[3r + c] — the BSR
-//                        backend's layout, consumed by block3_rows_scalar;
-//   * transposed         9 doubles per block, A(r, c) = a[3c + r] — columns
-//                        contiguous so a vector fmadd consumes a whole column
-//                        per broadcast lane, consumed by the vector kernels.
+// Storage layout: transposed 3x3 blocks, 9 doubles per block with
+// A(r, c) = a[3c + r] — columns contiguous so a vector fmadd consumes a whole
+// column per broadcast lane. The scalar fallbacks read the same layout.
 //
 // Padding contract for the vector kernels: the values array must extend at
 // least 4 doubles past the last block and xg at least 1 double past its last
@@ -27,14 +24,6 @@
 #include "solver/simd/dispatch.h"
 
 namespace neuro::solver::simd {
-
-/// Reference 3x3 block-row kernel over full row-major storage:
-/// y[3r..3r+2] = sum_p A_p x(cols[p]) for r in [0, nrows). The association
-/// order is identical to the BSR backend's kernel, so results are
-/// bit-identical to DistBsrMatrix::apply on the same arrays.
-void block3_rows_scalar(const double* values, const std::int32_t* row_ptr,
-                        const std::int32_t* cols, int nrows, const double* xg,
-                        double* y);
 
 /// Symmetric-upper compressed apply over transposed storage. Per block row n
 /// the stored blocks are the diagonal (n, n) first — cols[row_ptr[n]] must
@@ -52,12 +41,5 @@ void block3_sym_apply(DispatchTarget target, const double* valuesT,
 void block3_accum_apply(DispatchTarget target, const double* valuesT,
                         const std::int32_t* row_ptr, const std::int32_t* cols,
                         int nrows, const double* xg, double* y);
-
-/// One-element kernel: y12 += Ke x12 for a 12x12 row-major element stiffness.
-/// Ke is symmetric up to assembly rounding; the vector variants stream Ke
-/// rows as columns (i.e. apply Ke^T), which agrees with the scalar variant to
-/// that same rounding. No padding needed: Ke rows are 12 doubles.
-void elem12_apply(DispatchTarget target, const double* ke, const double* x12,
-                  double* y12);
 
 }  // namespace neuro::solver::simd

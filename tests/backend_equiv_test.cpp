@@ -5,13 +5,14 @@
 // and `determinism` (the double-run tests).
 //
 // Equivalence classes (matrix_free.h file comment):
-//   kMatrixFree/kNodePairBlocks under kScalar dispatch == kBsr, bit for bit;
-//   every other (policy, dispatch) combination is tolerance-equivalent, and
-//   each is individually deterministic run to run.
+//   kMatrixFree under kScalar dispatch == kBsr, bit for bit;
+//   every vector dispatch target is tolerance-equivalent, and each is
+//   individually deterministic run to run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,7 +95,6 @@ TEST(BackendEquivTest, MatrixFreeScalarDispatchMatchesBsrBitwise) {
     opt.backend = MatrixBackend::kBsr;
     const DeformationResult bsr = run(opt);
     opt.backend = MatrixBackend::kMatrixFree;
-    opt.matrix_free_storage = MatrixFreeStorage::kNodePairBlocks;
     opt.simd_dispatch = solver::simd::DispatchTarget::kScalar;
     const DeformationResult mf = run(opt);
     ASSERT_TRUE(bsr.stats.converged) << "P=" << P;
@@ -118,7 +118,6 @@ TEST(BackendEquivTest, MatrixFreeSimdMatchesBsrWithinTolerance) {
     opt.backend = MatrixBackend::kBsr;
     const DeformationResult bsr = run(opt);
     opt.backend = MatrixBackend::kMatrixFree;
-    opt.matrix_free_storage = MatrixFreeStorage::kNodePairBlocks;
     opt.simd_dispatch = solver::simd::DispatchTarget::kAuto;
     const DeformationResult mf = run(opt);
     ASSERT_TRUE(bsr.stats.converged) << "P=" << P;
@@ -131,38 +130,28 @@ TEST(BackendEquivTest, MatrixFreeSimdMatchesBsrWithinTolerance) {
   }
 }
 
-TEST(BackendEquivTest, ElementPoliciesMatchReferenceWithinTolerance) {
-  auto opt = base_options(2);
-  opt.backend = MatrixBackend::kCsrReference;
-  const DeformationResult ref = run(opt);
-  ASSERT_TRUE(ref.stats.converged);
-  for (const MatrixFreeStorage storage :
-       {MatrixFreeStorage::kElementBlocks, MatrixFreeStorage::kOnTheFly}) {
-    opt.backend = MatrixBackend::kMatrixFree;
-    opt.matrix_free_storage = storage;
-    const DeformationResult mf = run(opt);
-    ASSERT_TRUE(mf.stats.converged)
-        << matrix_free_storage_name(storage);
-    expect_close(mf, ref, 1e-8);
-  }
-}
-
 TEST(BackendEquivTest, DoubleRunIsBitIdenticalPerConfiguration) {
-  // Determinism within a configuration: whatever the dispatch target and
-  // storage policy, running the same solve twice must replay bit for bit
-  // (fixed traversal order, owned-rows-only accumulation).
-  for (const MatrixFreeStorage storage :
-       {MatrixFreeStorage::kNodePairBlocks, MatrixFreeStorage::kElementBlocks,
-        MatrixFreeStorage::kOnTheFly}) {
-    auto opt = base_options(4);
-    opt.backend = MatrixBackend::kMatrixFree;
-    opt.matrix_free_storage = storage;
-    const DeformationResult first = run(opt);
-    const DeformationResult second = run(opt);
-    ASSERT_TRUE(first.stats.converged) << matrix_free_storage_name(storage);
-    EXPECT_EQ(first.stats.iterations, second.stats.iterations);
-    EXPECT_EQ(first.stats.final_residual, second.stats.final_residual);
-    expect_bit_identical(first, second);
+  // Determinism within a configuration: whatever the dispatch target and rank
+  // count, running the same solve twice must replay bit for bit (fixed
+  // traversal order, owned-rows-only accumulation, one shared halo plan).
+  using solver::simd::DispatchTarget;
+  for (const DispatchTarget target :
+       {DispatchTarget::kScalar, DispatchTarget::kSse2, DispatchTarget::kAvx2,
+        DispatchTarget::kNeon}) {
+    if (!solver::simd::target_supported(target)) continue;
+    for (const int P : {1, 2, 4}) {
+      auto opt = base_options(P);
+      opt.backend = MatrixBackend::kMatrixFree;
+      opt.simd_dispatch = target;
+      const DeformationResult first = run(opt);
+      const DeformationResult second = run(opt);
+      const std::string where = std::string(solver::simd::dispatch_target_name(target)) +
+                                " P=" + std::to_string(P);
+      ASSERT_TRUE(first.stats.converged) << where;
+      EXPECT_EQ(first.stats.iterations, second.stats.iterations) << where;
+      EXPECT_EQ(first.stats.final_residual, second.stats.final_residual) << where;
+      expect_bit_identical(first, second);
+    }
   }
 }
 
@@ -176,7 +165,6 @@ TEST(BackendEquivTest, MixedPrecisionReachesDoubleToleranceNearIncompressible) {
     auto opt = base_options(P);
     opt.preconditioner = solver::PreconditionerKind::kAdditiveSchwarzIlu0;
     opt.backend = MatrixBackend::kMatrixFree;
-    opt.matrix_free_storage = MatrixFreeStorage::kNodePairBlocks;
     const DeformationResult dbl = run(opt, stiff);
     opt.mixed_precision = true;
     const DeformationResult mixed = run(opt, stiff);
@@ -197,7 +185,6 @@ TEST(BackendEquivTest, MixedPrecisionIterationsStayWithinOneOfDouble) {
   auto opt = base_options(2);
   opt.preconditioner = solver::PreconditionerKind::kAdditiveSchwarzIlu0;
   opt.backend = MatrixBackend::kMatrixFree;
-  opt.matrix_free_storage = MatrixFreeStorage::kNodePairBlocks;
   opt.simd_dispatch = solver::simd::DispatchTarget::kScalar;
   const DeformationResult dbl = run(opt);
   opt.mixed_precision = true;
@@ -301,17 +288,30 @@ TEST(EntryLookupTest, MatrixFreeValueAtMatchesAssembledBackends) {
         shared_mesh(), topo, MaterialMap::homogeneous_brain(), part, {}, comm);
     LocalMatrixFreeSystem mf = assemble_elasticity_matrix_free(
         shared_mesh(), topo, MaterialMap::homogeneous_brain(), part, {}, comm,
-        MatrixFreeStorage::kElementBlocks,
-        solver::simd::DispatchTarget::kScalar);
+        solver::simd::DispatchTarget::kAuto);
     apply_dirichlet(bsr, bc, comm);
     mf.A.apply_dirichlet(bc, mf.b, comm);
-    // Same substitution, but the element path groups the fixed-column moves
-    // per tet (the assembled path subtracts per stored entry) — equal to
-    // rounding, not bits.
+    // The operator substitutes in the block matrix it wraps: the right-hand
+    // side and every entry equal the kBsr backend's exactly.
     ASSERT_EQ(mf.b.local().size(), bsr.b.local().size());
     for (std::size_t i = 0; i < mf.b.local().size(); ++i) {
-      ASSERT_NEAR(mf.b.local()[i], bsr.b.local()[i], 1e-9) << "entry " << i;
+      ASSERT_EQ(mf.b.local()[i], bsr.b.local()[i]) << "entry " << i;
     }
+    // Every stored entry (hits, including the fixed rows' identity pattern)...
+    const auto& brp = bsr.A.block_row_ptr();
+    for (int br = 0; br < bsr.A.local_block_rows(); ++br) {
+      for (std::int32_t p = brp[solver::LocalBlockRow{br}];
+           p < brp[solver::LocalBlockRow{br + 1}]; ++p) {
+        const int cbase = 3 * bsr.A.block_cols()[static_cast<std::size_t>(p)].value();
+        for (int k = 0; k < 9; ++k) {
+          const solver::GlobalRow row = bsr.A.range().first + (3 * br + k / 3);
+          const solver::GlobalRow col{cbase + k % 3};
+          EXPECT_EQ(mf.A.value_at(row, col), bsr.A.value_at(row, col))
+              << "row " << row << " col " << col;
+        }
+      }
+    }
+    // ...and random probes, mostly outside the pattern.
     const auto [rb, re] = bsr.A.range();
     Rng rng(7u + static_cast<std::uint64_t>(comm.rank()));
     for (int trial = 0; trial < 200; ++trial) {
@@ -320,9 +320,7 @@ TEST(EntryLookupTest, MatrixFreeValueAtMatchesAssembledBackends) {
                    static_cast<std::uint64_t>(re - rb)));
       const solver::GlobalRow col{static_cast<int>(rng.uniform_index(
           static_cast<std::uint64_t>(bsr.A.global_size())))};
-      // Mini-assembly on demand re-associates the element sum, so the match
-      // is to rounding, not bits.
-      EXPECT_NEAR(mf.A.value_at(row, col), bsr.A.value_at(row, col), 1e-9)
+      EXPECT_EQ(mf.A.value_at(row, col), bsr.A.value_at(row, col))
           << "row " << row << " col " << col;
     }
   });

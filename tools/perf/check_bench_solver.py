@@ -30,13 +30,10 @@ the perf contracts of the block-CSR and observability work:
      *benchmark library* was compiled, and distro packages ship debug
      builds, so it reads "debug" even for a -O2 bench binary.
   5. The matrix-free node-pair apply with SIMD kernels
-     (BM_MatrixFreeApply/storage:0/scalar:0) must process rows at least
-     1.3x faster than the same operator in scalar dispatch
-     (storage:0/scalar:1), which delegates to the assembled BSR apply on
-     an identical matrix and is therefore the BSR baseline.  The
-     element-block and on-the-fly storage policies trade throughput for
-     memory and are reported for context, not gated (docs/perf.md has
-     the crossover analysis).
+     (BM_MatrixFreeApply/scalar:0) must process rows at least 1.3x faster
+     than the same operator in scalar dispatch (scalar:1), which delegates
+     to the assembled BSR apply on an identical matrix and is therefore
+     the BSR baseline.
   6. The symmetric block kernel itself (BM_SimdBlockKernel/scalar:0, an
      L2-resident banded pattern) must beat its scalar twin (scalar:1) by
      at least 1.5x.  Auto-skipped when the runtime dispatch resolves to
@@ -119,19 +116,13 @@ def main(path):
     print(f"cpu frequency scaling: {cpu_scaling}")
     print(f"runtime simd dispatch: {context.get('neuro_simd_target', '?')}")
 
-    mf_simd = need("BM_MatrixFreeApply/storage:0/scalar:0")
-    mf_scalar = need("BM_MatrixFreeApply/storage:0/scalar:1")
+    mf_simd = need("BM_MatrixFreeApply/scalar:0")
+    mf_scalar = need("BM_MatrixFreeApply/scalar:1")
     mf_speedup = mf_simd["items_per_second"] / mf_scalar["items_per_second"]
     print(f"matrix-free apply [{mf_simd.get('label', '?')}]: "
           f"{mf_simd['items_per_second'] / 1e6:.1f} Mrows/s vs BSR-delegated "
           f"scalar {mf_scalar['items_per_second'] / 1e6:.1f} Mrows/s "
           f"({mf_speedup:.2f}x)")
-    for arg, policy in ((1, "element-blocks"), (2, "on-the-fly")):
-        alt = by_name.get(f"BM_MatrixFreeApply/storage:{arg}/scalar:0")
-        if alt is not None:
-            print(f"matrix-free apply [{alt.get('label', policy)}]: "
-                  f"{alt['items_per_second'] / 1e6:.1f} Mrows/s "
-                  "(context only, memory-bound by design)")
 
     kern_simd = need("BM_SimdBlockKernel/scalar:0")
     kern_scalar = need("BM_SimdBlockKernel/scalar:1")
