@@ -243,6 +243,11 @@ struct KrylovCase {
   bool needs_spd;
 };
 
+// Print a case by its method name. Without this, gtest prints the struct's
+// raw bytes (two code addresses and padding) into the parameter description,
+// and CTest test names built from it change with link layout and ASLR.
+void PrintTo(const KrylovCase& c, std::ostream* os) { *os << c.name; }
+
 class KrylovSolverTest
     : public ::testing::TestWithParam<std::tuple<KrylovCase, int>> {};
 
