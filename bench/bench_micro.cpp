@@ -12,7 +12,6 @@
 #include "fem/assembly.h"
 #include "fem/boundary.h"
 #include "fem/deformation_solver.h"
-#include "fem/matrix_free.h"
 #include "fem/strain.h"
 #include "image/components.h"
 #include "image/distance.h"
@@ -28,7 +27,6 @@
 #include "seg/intraop.h"
 #include "solver/bsr_matrix.h"
 #include "solver/krylov.h"
-#include "solver/simd/block_kernels.h"
 #include "solver/simd/dispatch.h"
 #include "surface/active_surface.h"
 
@@ -228,91 +226,6 @@ void BM_BsrSpMV(benchmark::State& state) {
                         16.0 * bsr.local_rows()));
 }
 BENCHMARK(BM_BsrSpMV)->Unit(benchmark::kMillisecond);
-
-// Matrix-free operator apply on the post-BC system, one rank. scalar:1
-// forces kScalar dispatch, under which the operator delegates to the
-// DistBsrMatrix kernel — i.e. scalar:1 IS the BSR baseline on the identical
-// dropped matrix, and the perf-smoke CI gate requires scalar:0 to beat it by
-// >= 1.3x in rows/s (tools/perf/check_bench_solver.py). The label records the
-// resolved dispatch target for the CI job log.
-void BM_MatrixFreeApply(benchmark::State& state) {
-  const auto dispatch = state.range(0) != 0
-                            ? solver::simd::DispatchTarget::kScalar
-                            : solver::simd::DispatchTarget::kAuto;
-  const auto& mesh = shared_mesh();
-  const fem::MeshTopology topo = fem::MeshTopology::build(mesh);
-  const auto materials = fem::MaterialMap::homogeneous_brain();
-  const auto part = mesh::partition_node_balanced(mesh.num_nodes(), 1);
-  const auto surface = mesh::extract_boundary_surface(mesh, {3, 4, 5, 6});
-  std::vector<std::pair<mesh::NodeId, Vec3>> bc_nodes;
-  for (const auto n : surface.mesh_nodes) bc_nodes.emplace_back(n, Vec3{});
-  const auto bc = fem::DirichletSet::from_node_displacements(bc_nodes);
-
-  long rows = 0;
-  par::run_spmd(1, [&](par::Communicator& comm) {
-    fem::LocalMatrixFreeSystem sys = fem::assemble_elasticity_matrix_free(
-        mesh, topo, materials, part, {}, comm, dispatch);
-    sys.A.apply_dirichlet(bc, sys.b, comm);
-    sys.A.finalize(comm);
-    solver::DistVector x(sys.b.global_size(), sys.b.range(), 1.0);
-    solver::DistVector y(sys.b.global_size(), sys.b.range());
-    for (auto _ : state) {
-      sys.A.apply(x, y, comm);
-      benchmark::DoNotOptimize(y.local().data());
-    }
-    rows = sys.b.local_size();
-    state.SetLabel(std::string(solver::simd::dispatch_target_name(sys.A.dispatch())));
-  });
-  // Rows per second: every variant applies the same operator to the same
-  // vector, so rows/s ratios are direct speedups.
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_MatrixFreeApply)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgName("scalar")
-    ->Unit(benchmark::kMillisecond);
-
-// The symmetric-upper 3x3 block kernel in isolation on a synthetic banded
-// pattern (diagonal first, then 8 upper neighbours — ~12 logical blocks/row,
-// the smoke mesh's density). scalar:1 runs the NEURO_BITEXACT fallback;
-// scalar:0 the best vector ISA. The CI gate requires >= 1.5x and auto-skips
-// when the machine resolves kAuto to kScalar (label carries the target).
-void BM_SimdBlockKernel(benchmark::State& state) {
-  const auto target = state.range(0) != 0
-                          ? solver::simd::DispatchTarget::kScalar
-                          : solver::simd::resolve_dispatch_target(
-                                solver::simd::DispatchTarget::kAuto);
-  // Sized to sit in L2 (~0.7 MB of block values): the gate measures kernel
-  // arithmetic, not DRAM bandwidth — the full-matrix regime is what
-  // BM_MatrixFreeApply covers.
-  constexpr int kRows = 1024;
-  constexpr int kUpper = 8;
-  std::vector<std::int32_t> row_ptr(kRows + 1, 0);
-  std::vector<std::int32_t> cols;
-  for (int n = 0; n < kRows; ++n) {
-    cols.push_back(n);  // diagonal first (kernel contract)
-    for (int k = 1; k <= kUpper && n + k < kRows; ++k) cols.push_back(n + k);
-    row_ptr[static_cast<std::size_t>(n) + 1] = static_cast<std::int32_t>(cols.size());
-  }
-  Rng rng(42);
-  std::vector<double> valuesT(cols.size() * 9 + 4);
-  for (double& v : valuesT) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> xg(static_cast<std::size_t>(kRows) * 3 + 1, 1.0);
-  std::vector<double> y(static_cast<std::size_t>(kRows) * 3, 0.0);
-  for (auto _ : state) {
-    std::fill(y.begin(), y.end(), 0.0);
-    solver::simd::block3_sym_apply(target, valuesT.data(), row_ptr.data(),
-                                   cols.data(), kRows, xg.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetLabel(std::string(solver::simd::dispatch_target_name(target)));
-  // Logical blocks applied: each stored off-diagonal serves two.
-  state.SetItemsProcessed(
-      state.iterations() *
-      static_cast<long>(2 * cols.size() - static_cast<std::size_t>(kRows)));
-}
-BENCHMARK(BM_SimdBlockKernel)->Arg(1)->Arg(0)->ArgName("scalar");
 
 // Collectives per GMRES iteration, measured from the runtime's own work
 // records on a 2-rank partitioned solve. Modified Gram-Schmidt pays j+2
@@ -685,8 +598,7 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "neuro_simd_target",
       std::string(neuro::solver::simd::dispatch_target_name(
-          neuro::solver::simd::resolve_dispatch_target(
-              neuro::solver::simd::DispatchTarget::kAuto))));
+          neuro::solver::simd::detect_dispatch_target())));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -13,22 +13,21 @@
 #include "base/vec3.h"
 #include "fem/boundary.h"
 #include "fem/material.h"
-#include "fem/matrix_free.h"
 #include "mesh/partition.h"
 #include "mesh/tet_mesh.h"
 #include "par/work_counter.h"
 #include "solver/krylov.h"
 #include "solver/refinement.h"
-#include "solver/simd/dispatch.h"
 
 namespace neuro::fem {
 
-enum class KrylovKind { kGmres, kCg, kBicgstab };
-/// Which operator backend carries the assembled system through the solve.
+/// The solver's Krylov method enum, under the name FEM callers use.
+using KrylovKind = solver::KrylovKind;
+/// Which assembled matrix carries the system through the solve. Both give
+/// bit-identical fields.
 enum class MatrixBackend {
-  kCsrReference,  ///< scalar CSR, the bitwise-stable reference path
-  kBsr,           ///< 3x3 block CSR with overlapped halo exchange (fast path)
-  kMatrixFree,    ///< no assembled global matrix in the hot path (matrix_free.h)
+  kCsrReference,  ///< scalar CSR, the reference path
+  kBsr,           ///< 3x3 block CSR with overlapped halo exchange
 };
 enum class PartitionKind {
   kNodeBalanced,          ///< the paper's: equal node counts
@@ -44,10 +43,6 @@ struct DeformationSolveOptions {
   int schwarz_overlap = 1;  ///< used by kAdditiveSchwarzIlu0 only
   KrylovKind krylov = KrylovKind::kGmres;  ///< the paper's solver
   MatrixBackend backend = MatrixBackend::kCsrReference;
-  /// kMatrixFree only: instruction-set target of the symmetric block apply
-  /// (matrix_free.h). kAuto probes the CPU; kScalar delegates the apply to
-  /// the wrapped block matrix, bit-identical to kBsr.
-  solver::simd::DispatchTarget simd_dispatch = solver::simd::DispatchTarget::kAuto;
   /// Store the additive-Schwarz ILU(0) factors in float (solved with double
   /// accumulation) and wrap the Krylov solve in a double-precision iterative-
   /// refinement outer loop, converging to the same tolerance as the all-double
@@ -70,7 +65,7 @@ struct DeformationSolveOptions {
 struct DeformationResult {
   std::vector<Vec3> node_displacements;  ///< full field, every node
   solver::SolveStats stats;
-  par::PhaseWork work;  ///< phases "assemble", "bc", "solve" (+ "setup")
+  par::PhaseWork work;  ///< phases "assemble", "bc", "solve"
   double wall_assemble_s = 0.0;
   double wall_bc_s = 0.0;
   double wall_solve_s = 0.0;

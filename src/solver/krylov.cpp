@@ -588,4 +588,19 @@ SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
   return stats;
 }
 
+SolveStats solve(KrylovKind kind, const LinearOperator& A, const DistVector& b,
+                 DistVector& x, const Preconditioner& M, const SolverConfig& config,
+                 par::Communicator& comm) {
+  switch (kind) {
+    case KrylovKind::kGmres:
+      return gmres(A, b, x, M, config, comm);
+    case KrylovKind::kCg:
+      return cg(A, b, x, M, config, comm);
+    case KrylovKind::kBicgstab:
+      return bicgstab(A, b, x, M, config, comm);
+  }
+  NEURO_REQUIRE(false, "solve: unknown Krylov kind");
+  return {};
+}
+
 }  // namespace neuro::solver

@@ -58,6 +58,14 @@ enum class GramSchmidtKind : std::uint8_t {
   kClassical,
 };
 
+/// Krylov method: GMRES is the paper's solver; CG and BiCGStab are the
+/// solver ablation's alternatives.
+enum class KrylovKind : std::uint8_t {
+  kGmres,
+  kCg,
+  kBicgstab,
+};
+
 struct SolverConfig {
   int max_iterations = 1000;
   double rtol = 1e-7;   ///< relative to the initial (preconditioned) residual
@@ -103,6 +111,11 @@ SolveStats cg(const LinearOperator& A, const DistVector& b, DistVector& x,
 SolveStats bicgstab(const LinearOperator& A, const DistVector& b, DistVector& x,
                     const Preconditioner& M, const SolverConfig& config,
                     par::Communicator& comm);
+
+/// Runs the Krylov method `kind` (gmres, cg or bicgstab above).
+SolveStats solve(KrylovKind kind, const LinearOperator& A, const DistVector& b,
+                 DistVector& x, const Preconditioner& M, const SolverConfig& config,
+                 par::Communicator& comm);
 
 /// ‖b - A x‖₂ (collective) — independent verification of a solve.
 double true_residual_norm(const LinearOperator& A, const DistVector& b,

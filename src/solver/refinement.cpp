@@ -17,26 +17,11 @@ void true_residual(const LinearOperator& A, const DistVector& b,
   r.axpy(1.0, b, comm);
 }
 
-SolveStats run_inner(KrylovVariant variant, const LinearOperator& A,
-                     const DistVector& b, DistVector& x, const Preconditioner& M,
-                     const SolverConfig& config, par::Communicator& comm) {
-  switch (variant) {
-    case KrylovVariant::kGmres:
-      return gmres(A, b, x, M, config, comm);
-    case KrylovVariant::kCg:
-      return cg(A, b, x, M, config, comm);
-    case KrylovVariant::kBicgstab:
-      return bicgstab(A, b, x, M, config, comm);
-  }
-  NEURO_REQUIRE(false, "iterative_refinement: unknown Krylov variant");
-  return {};
-}
-
 }  // namespace
 
 SolveStats iterative_refinement(const LinearOperator& A, const DistVector& b,
                                 DistVector& x, const Preconditioner& M,
-                                KrylovVariant variant, const SolverConfig& config,
+                                KrylovKind kind, const SolverConfig& config,
                                 const RefinementConfig& refinement,
                                 par::Communicator& comm) {
   NEURO_REQUIRE(refinement.max_outer >= 1,
@@ -67,7 +52,7 @@ SolveStats iterative_refinement(const LinearOperator& A, const DistVector& b,
   SolveStats last_inner;
   for (int outer = 0; outer < refinement.max_outer; ++outer) {
     DistVector d(b.global_size(), b.range());
-    last_inner = run_inner(variant, A, r, d, M, inner_config, comm);
+    last_inner = solve(kind, A, r, d, M, inner_config, comm);
     stats.iterations += last_inner.iterations;
     if (config.record_history) {
       stats.history.insert(stats.history.end(), last_inner.history.begin(),

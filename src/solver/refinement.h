@@ -11,8 +11,6 @@
 // convergence test (docs/perf.md, "Mixed-precision accuracy contract").
 #pragma once
 
-#include <cstdint>
-
 #include "par/communicator.h"
 #include "solver/dist_vector.h"
 #include "solver/krylov.h"
@@ -20,13 +18,6 @@
 #include "solver/preconditioner.h"
 
 namespace neuro::solver {
-
-/// Which Krylov method runs the inner correction solves.
-enum class KrylovVariant : std::uint8_t {
-  kGmres,
-  kCg,
-  kBicgstab,
-};
 
 struct RefinementConfig {
   /// Outer correction passes before giving up. Each pass multiplies the
@@ -38,7 +29,7 @@ struct RefinementConfig {
   double inner_rtol_factor = 0.5;
 };
 
-/// Solves A x = b by iterative refinement: inner `variant` solves
+/// Solves A x = b by iterative refinement: inner `kind` solves
 /// preconditioned by `M` (any precision), outer residual and correction in
 /// double. Collective on `comm`; every decision derives from collective norms
 /// so control flow is rank-consistent. The returned stats aggregate inner
@@ -46,7 +37,7 @@ struct RefinementConfig {
 /// judged against max(config.rtol × ‖b − A x₀‖₂, config.atol).
 SolveStats iterative_refinement(const LinearOperator& A, const DistVector& b,
                                 DistVector& x, const Preconditioner& M,
-                                KrylovVariant variant, const SolverConfig& config,
+                                KrylovKind kind, const SolverConfig& config,
                                 const RefinementConfig& refinement,
                                 par::Communicator& comm);
 

@@ -1,28 +1,11 @@
 #include "solver/simd/dispatch.h"
 
-#include "base/check.h"
-
 namespace neuro::solver::simd {
 
-std::string_view dispatch_target_name(DispatchTarget target) {
-  switch (target) {
-    case DispatchTarget::kAuto:
-      return "auto";
-    case DispatchTarget::kScalar:
-      return "scalar";
-    case DispatchTarget::kSse2:
-      return "sse2";
-    case DispatchTarget::kAvx2:
-      return "avx2";
-    case DispatchTarget::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
+namespace {
 
 bool target_supported(DispatchTarget target) {
   switch (target) {
-    case DispatchTarget::kAuto:
     case DispatchTarget::kScalar:
       return true;
     case DispatchTarget::kSse2:
@@ -48,19 +31,27 @@ bool target_supported(DispatchTarget target) {
   return false;
 }
 
+}  // namespace
+
+std::string_view dispatch_target_name(DispatchTarget target) {
+  switch (target) {
+    case DispatchTarget::kScalar:
+      return "scalar";
+    case DispatchTarget::kSse2:
+      return "sse2";
+    case DispatchTarget::kAvx2:
+      return "avx2";
+    case DispatchTarget::kNeon:
+      return "neon";
+  }
+  return "unknown";
+}
+
 DispatchTarget detect_dispatch_target() {
   if (target_supported(DispatchTarget::kAvx2)) return DispatchTarget::kAvx2;
   if (target_supported(DispatchTarget::kNeon)) return DispatchTarget::kNeon;
   if (target_supported(DispatchTarget::kSse2)) return DispatchTarget::kSse2;
   return DispatchTarget::kScalar;
-}
-
-DispatchTarget resolve_dispatch_target(DispatchTarget requested) {
-  if (requested == DispatchTarget::kAuto) return detect_dispatch_target();
-  NEURO_REQUIRE(target_supported(requested),
-                "simd: dispatch target '" << dispatch_target_name(requested)
-                                          << "' not supported on this CPU");
-  return requested;
 }
 
 }  // namespace neuro::solver::simd

@@ -1,13 +1,6 @@
-// Runtime CPU dispatch for the SIMD block kernels (src/solver/simd/).
-//
-// The block kernels come in one variant per instruction set; callers pick a
-// variant through a DispatchTarget resolved once at operator setup, never in
-// the hot loop. kScalar is always available and preserves the reference
-// association order (bit-identical run-to-run and across dispatch targets of
-// the same kind); the vector targets reorder the per-row reductions and are
-// tolerance-equivalent (docs/perf.md, "SIMD dispatch"). Detection is a pure
-// function of the CPU, so a given machine always resolves kAuto to the same
-// target and solver results stay reproducible.
+// Host instruction-set probe. No kernel in the tree dispatches on it; the
+// benchmarks record it as provenance, so a number measured on one vector ISA
+// is never silently compared with one from another.
 #pragma once
 
 #include <cstdint>
@@ -15,31 +8,20 @@
 
 namespace neuro::solver::simd {
 
-/// Instruction-set target for the block kernels. kAuto resolves to the best
-/// target the running CPU supports.
+/// Vector instruction set of the running CPU.
 enum class DispatchTarget : std::uint8_t {
-  kAuto,
   kScalar,
   kSse2,
   kAvx2,
   kNeon,
 };
 
-/// Stable lowercase name ("auto", "scalar", "sse2", "avx2", "neon") — used in
-/// span attributes, bench context and CI job logs.
+/// Stable lowercase name ("scalar", "sse2", "avx2", "neon") — used in bench
+/// context and CI job logs.
 [[nodiscard]] std::string_view dispatch_target_name(DispatchTarget target);
 
-/// Whether this build + CPU can execute kernels compiled for `target`.
-/// kAuto and kScalar are always supported.
-[[nodiscard]] bool target_supported(DispatchTarget target);
-
-/// Best concrete target the running CPU supports (never kAuto; kScalar when
-/// no vector ISA is available).
+/// Best target the running CPU supports (kScalar when no vector ISA is
+/// available). A pure function of the CPU.
 [[nodiscard]] DispatchTarget detect_dispatch_target();
-
-/// Resolves a requested target to a concrete one: kAuto detects, anything
-/// else is validated against the running CPU (throws via NEURO_REQUIRE when
-/// the explicit request cannot run here).
-[[nodiscard]] DispatchTarget resolve_dispatch_target(DispatchTarget requested);
 
 }  // namespace neuro::solver::simd

@@ -1,13 +1,9 @@
-// Backend-equivalence matrix for the solver's three operator backends
-// {kCsrReference, kBsr, kMatrixFree} across 1/2/4 ranks, plus the mixed-
-// precision iterative-refinement contract and the binary-search entry lookups
-// of the assembled backends. Labelled `perf` (sanitizer CI runs this suite)
-// and `determinism` (the double-run tests).
-//
-// Equivalence classes (matrix_free.h file comment):
-//   kMatrixFree under kScalar dispatch == kBsr, bit for bit;
-//   every vector dispatch target is tolerance-equivalent, and each is
-//   individually deterministic run to run.
+// Solver-configuration tests across 1/2/4 ranks: run-to-run determinism of
+// both assembled backends {kCsrReference, kBsr}, the mixed-precision
+// iterative-refinement contract, and the binary-search entry lookups of the
+// assembled matrices. Labelled `perf` (sanitizer CI runs this suite) and
+// `determinism` (the double-run test). CSR == BSR to the bit is pinned by
+// bsr_test (BsrSolveTest.DeformationBackendMatchesReference).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,13 +17,11 @@
 #include "fem/assembly.h"
 #include "fem/boundary.h"
 #include "fem/deformation_solver.h"
-#include "fem/matrix_free.h"
 #include "mesh/mesher.h"
 #include "mesh/tri_surface.h"
 #include "par/communicator.h"
 #include "solver/bsr_matrix.h"
 #include "solver/dist_matrix.h"
-#include "solver/simd/dispatch.h"
 
 namespace neuro::fem {
 namespace {
@@ -89,64 +83,20 @@ void expect_close(const DeformationResult& a, const DeformationResult& b,
   }
 }
 
-TEST(BackendEquivTest, MatrixFreeScalarDispatchMatchesBsrBitwise) {
-  for (const int P : {1, 2, 4}) {
-    auto opt = base_options(P);
-    opt.backend = MatrixBackend::kBsr;
-    const DeformationResult bsr = run(opt);
-    opt.backend = MatrixBackend::kMatrixFree;
-    opt.simd_dispatch = solver::simd::DispatchTarget::kScalar;
-    const DeformationResult mf = run(opt);
-    ASSERT_TRUE(bsr.stats.converged) << "P=" << P;
-    ASSERT_TRUE(mf.stats.converged) << "P=" << P;
-    // Same assembled values, same apply (delegated), same preconditioner:
-    // the whole solve replays bit for bit.
-    EXPECT_EQ(mf.stats.iterations, bsr.stats.iterations) << "P=" << P;
-    EXPECT_EQ(mf.stats.final_residual, bsr.stats.final_residual) << "P=" << P;
-    expect_bit_identical(mf, bsr);
-  }
-}
-
-TEST(BackendEquivTest, MatrixFreeSimdMatchesBsrWithinTolerance) {
-  // Under kAuto the node-pair policy streams the compressed symmetric arrays
-  // through the best vector ISA; the per-row reductions re-associate, so the
-  // contract is tolerance + iterations, not bits. (On a machine with no
-  // vector ISA kAuto resolves to kScalar and this tightens to the bitwise
-  // case — still a valid pass.)
-  for (const int P : {1, 2, 4}) {
-    auto opt = base_options(P);
-    opt.backend = MatrixBackend::kBsr;
-    const DeformationResult bsr = run(opt);
-    opt.backend = MatrixBackend::kMatrixFree;
-    opt.simd_dispatch = solver::simd::DispatchTarget::kAuto;
-    const DeformationResult mf = run(opt);
-    ASSERT_TRUE(bsr.stats.converged) << "P=" << P;
-    ASSERT_TRUE(mf.stats.converged) << "P=" << P;
-    // Identical assembled values feed identical preconditioners, so the
-    // convergence path may differ only by kernel rounding: iterations ±1.
-    EXPECT_LE(std::abs(mf.stats.iterations - bsr.stats.iterations), 1)
-        << "P=" << P;
-    expect_close(mf, bsr, 1e-8);
-  }
-}
-
 TEST(BackendEquivTest, DoubleRunIsBitIdenticalPerConfiguration) {
-  // Determinism within a configuration: whatever the dispatch target and rank
-  // count, running the same solve twice must replay bit for bit (fixed
-  // traversal order, owned-rows-only accumulation, one shared halo plan).
-  using solver::simd::DispatchTarget;
-  for (const DispatchTarget target :
-       {DispatchTarget::kScalar, DispatchTarget::kSse2, DispatchTarget::kAvx2,
-        DispatchTarget::kNeon}) {
-    if (!solver::simd::target_supported(target)) continue;
+  // Determinism within a configuration: whatever the backend and rank count,
+  // running the same solve twice must replay bit for bit (fixed traversal
+  // order, owned-rows-only accumulation, one halo plan).
+  for (const MatrixBackend backend :
+       {MatrixBackend::kCsrReference, MatrixBackend::kBsr}) {
     for (const int P : {1, 2, 4}) {
       auto opt = base_options(P);
-      opt.backend = MatrixBackend::kMatrixFree;
-      opt.simd_dispatch = target;
+      opt.backend = backend;
       const DeformationResult first = run(opt);
       const DeformationResult second = run(opt);
-      const std::string where = std::string(solver::simd::dispatch_target_name(target)) +
-                                " P=" + std::to_string(P);
+      const std::string where =
+          std::string(backend == MatrixBackend::kBsr ? "bsr" : "csr") + " P=" +
+          std::to_string(P);
       ASSERT_TRUE(first.stats.converged) << where;
       EXPECT_EQ(first.stats.iterations, second.stats.iterations) << where;
       EXPECT_EQ(first.stats.final_residual, second.stats.final_residual) << where;
@@ -164,7 +114,6 @@ TEST(BackendEquivTest, MixedPrecisionReachesDoubleToleranceNearIncompressible) {
   for (const int P : {1, 2, 4}) {
     auto opt = base_options(P);
     opt.preconditioner = solver::PreconditionerKind::kAdditiveSchwarzIlu0;
-    opt.backend = MatrixBackend::kMatrixFree;
     const DeformationResult dbl = run(opt, stiff);
     opt.mixed_precision = true;
     const DeformationResult mixed = run(opt, stiff);
@@ -184,8 +133,6 @@ TEST(BackendEquivTest, MixedPrecisionIterationsStayWithinOneOfDouble) {
   // iteration count stays within ±1 of the all-double solve.
   auto opt = base_options(2);
   opt.preconditioner = solver::PreconditionerKind::kAdditiveSchwarzIlu0;
-  opt.backend = MatrixBackend::kMatrixFree;
-  opt.simd_dispatch = solver::simd::DispatchTarget::kScalar;
   const DeformationResult dbl = run(opt);
   opt.mixed_precision = true;
   const DeformationResult mixed = run(opt);
@@ -274,54 +221,6 @@ TEST(EntryLookupTest, BsrValueAtMatchesCsrIncludingOffDiagonalBlocks) {
           EXPECT_EQ(bsr.A.value_at(row, col), csr.A.value_at(row, col));
         }
       }
-    }
-  });
-}
-
-TEST(EntryLookupTest, MatrixFreeValueAtMatchesAssembledBackends) {
-  const auto part = mesh::partition_node_balanced(shared_mesh().num_nodes(), 2);
-  const MeshTopology topo = MeshTopology::build(shared_mesh());
-  const DirichletSet bc =
-      DirichletSet::from_node_displacements(boundary_displacements());
-  par::run_spmd(2, [&](par::Communicator& comm) {
-    LocalBsrSystem bsr = assemble_elasticity_bsr(
-        shared_mesh(), topo, MaterialMap::homogeneous_brain(), part, {}, comm);
-    LocalMatrixFreeSystem mf = assemble_elasticity_matrix_free(
-        shared_mesh(), topo, MaterialMap::homogeneous_brain(), part, {}, comm,
-        solver::simd::DispatchTarget::kAuto);
-    apply_dirichlet(bsr, bc, comm);
-    mf.A.apply_dirichlet(bc, mf.b, comm);
-    // The operator substitutes in the block matrix it wraps: the right-hand
-    // side and every entry equal the kBsr backend's exactly.
-    ASSERT_EQ(mf.b.local().size(), bsr.b.local().size());
-    for (std::size_t i = 0; i < mf.b.local().size(); ++i) {
-      ASSERT_EQ(mf.b.local()[i], bsr.b.local()[i]) << "entry " << i;
-    }
-    // Every stored entry (hits, including the fixed rows' identity pattern)...
-    const auto& brp = bsr.A.block_row_ptr();
-    for (int br = 0; br < bsr.A.local_block_rows(); ++br) {
-      for (std::int32_t p = brp[solver::LocalBlockRow{br}];
-           p < brp[solver::LocalBlockRow{br + 1}]; ++p) {
-        const int cbase = 3 * bsr.A.block_cols()[static_cast<std::size_t>(p)].value();
-        for (int k = 0; k < 9; ++k) {
-          const solver::GlobalRow row = bsr.A.range().first + (3 * br + k / 3);
-          const solver::GlobalRow col{cbase + k % 3};
-          EXPECT_EQ(mf.A.value_at(row, col), bsr.A.value_at(row, col))
-              << "row " << row << " col " << col;
-        }
-      }
-    }
-    // ...and random probes, mostly outside the pattern.
-    const auto [rb, re] = bsr.A.range();
-    Rng rng(7u + static_cast<std::uint64_t>(comm.rank()));
-    for (int trial = 0; trial < 200; ++trial) {
-      const solver::GlobalRow row =
-          rb + static_cast<int>(rng.uniform_index(
-                   static_cast<std::uint64_t>(re - rb)));
-      const solver::GlobalRow col{static_cast<int>(rng.uniform_index(
-          static_cast<std::uint64_t>(bsr.A.global_size())))};
-      EXPECT_EQ(mf.A.value_at(row, col), bsr.A.value_at(row, col))
-          << "row " << row << " col " << col;
     }
   });
 }

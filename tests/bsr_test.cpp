@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -332,26 +334,42 @@ TEST(BsrSolveTest, GmresOnBsrMatchesCsrWithinTolerance) {
 }
 
 TEST(BsrSolveTest, DeformationBackendMatchesReference) {
+  // The BSR kernels keep the scalar association order, so the whole solve
+  // replays the CSR reference to the bit, for every Krylov method and rank
+  // count.
   const auto surface = mesh::extract_boundary_surface(shared_mesh(), {1});
   std::vector<std::pair<mesh::NodeId, Vec3>> bcs;
   for (const auto n : surface.mesh_nodes) {
     const Vec3& p = shared_mesh().nodes[n];
     bcs.emplace_back(n, Vec3{0.01 * p.z, 0.0, -0.02 * p.x});
   }
-  DeformationSolveOptions opt;
-  opt.nranks = 2;
-  opt.solver.rtol = 1e-10;
-  opt.backend = MatrixBackend::kCsrReference;
-  const DeformationResult ref =
-      solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
-  opt.backend = MatrixBackend::kBsr;
-  const DeformationResult fast =
-      solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
-  ASSERT_TRUE(ref.stats.converged);
-  ASSERT_TRUE(fast.stats.converged);
-  for (std::size_t i = 0; i < ref.node_displacements.size(); ++i) {
-    EXPECT_NEAR(norm(fast.node_displacements[i] - ref.node_displacements[i]),
-                0.0, 1e-8);
+  const std::pair<const char*, KrylovKind> methods[] = {
+      {"gmres", KrylovKind::kGmres},
+      {"cg", KrylovKind::kCg},
+      {"bicgstab", KrylovKind::kBicgstab},
+  };
+  for (const auto& [name, krylov] : methods) {
+    for (const int P : {1, 2, 4}) {
+      DeformationSolveOptions opt;
+      opt.nranks = P;
+      opt.krylov = krylov;
+      opt.solver.rtol = 1e-10;
+      opt.backend = MatrixBackend::kCsrReference;
+      const DeformationResult ref =
+          solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
+      opt.backend = MatrixBackend::kBsr;
+      const DeformationResult fast =
+          solve_deformation(shared_mesh(), MaterialMap::homogeneous_brain(), bcs, opt);
+      const std::string where = std::string(name) + " P=" + std::to_string(P);
+      ASSERT_TRUE(ref.stats.converged) << where;
+      ASSERT_TRUE(fast.stats.converged) << where;
+      EXPECT_EQ(fast.stats.iterations, ref.stats.iterations) << where;
+      ASSERT_EQ(fast.node_displacements.size(), ref.node_displacements.size());
+      EXPECT_EQ(std::memcmp(fast.node_displacements.data(), ref.node_displacements.data(),
+                            ref.node_displacements.size() * sizeof(Vec3)),
+                0)
+          << where;
+    }
   }
 }
 

@@ -40,21 +40,16 @@ Checks (see docs/static_analysis.md):
     docs/robustness.md); NEURO_CHECK is reserved for genuine invariant
     corruption, and the existing invariant checks are grandfathered in
     NEURO_CHECK_BUDGET;
-  * explicit vector intrinsics — the <immintrin.h>/<arm_neon.h> family of
-    headers and _mm*/__m128/__m256/NEON tokens — appear only under
-    src/solver/simd/; every other layer reaches vector code through the
-    runtime-dispatched block kernels (solver/simd/block_kernels.h), which
-    keeps the NEURO_BITEXACT scalar fallback the single switch that removes
-    all vector code from the numeric path (docs/perf.md, "SIMD dispatch");
+  * no explicit vector intrinsics anywhere — neither the <immintrin.h>/
+    <arm_neon.h> family of headers nor _mm*/__m128/__m256/NEON tokens: they
+    would make solve results depend on the build host's instruction set,
+    and vector code is left to the compiler;
   * no trailing whitespace, no tabs in C++ sources, files end with a newline;
   * the grandfather lists themselves may not drift: a
     VECTOR_INT_MEMBER_ALLOWLIST entry whose file or member no longer exists,
     or a NEURO_CHECK_BUDGET entry whose file is gone or whose budget exceeds
     the file's actual NEURO_CHECK count, is a lint error — stale slack in an
-    allowlist is how new violations creep in unreviewed.  The SIMD rule
-    drift-checks in the other direction: if no file under src/solver/simd/
-    uses an intrinsic any more, the confinement rule guards a directory the
-    kernels have left, and the stale rule is the violation.
+    allowlist is how new violations creep in unreviewed.
 
 Exits non-zero listing every violation. Run directly:
 
@@ -148,15 +143,11 @@ UNBOUNDED_QUEUE_RE = re.compile(r"\bstd::(?:deque|queue|priority_queue)\b")
 UNBOUNDED_QUEUE_INCLUDES = {"deque", "queue"}
 UNBOUNDED_QUEUE_ALLOWLIST: set[str] = set()
 
-# SIMD confinement (docs/perf.md, "SIMD dispatch"): explicit vector code is a
-# portability and bit-exactness liability, so it lives in exactly one place —
-# src/solver/simd/ — behind block-kernel entry points that runtime-dispatch
-# between scalar and vector bodies. A stray intrinsic anywhere else would
-# escape both the dispatch switch and the NEURO_BITEXACT scalar fallback,
-# silently re-coupling numeric results to the build host's ISA. Both the
-# intrinsics *headers* (caught at the include line, before any token is used)
-# and the intrinsic *tokens* themselves are banned outside that directory.
-SIMD_DIR = "src/solver/simd/"
+# No explicit vector code: an intrinsic couples numeric results to the build
+# host's ISA, which the bit-exact replays (CSR == BSR, 1/2/4 ranks) cannot
+# tolerate. Both the intrinsics *headers* (caught at the include line, before
+# any token is used) and the intrinsic *tokens* themselves are banned in
+# every file.
 SIMD_INCLUDE_HEADERS = {
     "immintrin.h", "x86intrin.h",                      # AVX/AVX2/AVX-512 umbrella
     "emmintrin.h", "xmmintrin.h", "pmmintrin.h",       # SSE/SSE2/SSE3
@@ -380,24 +371,20 @@ def check_file(root: Path, path: Path) -> list[str]:
                     "typed kResourceExhausted rejection, not memory growth "
                     "(docs/service.md)")
 
-    # -- explicit vector intrinsics confined to src/solver/simd/ --------------
-    if not rel.startswith(SIMD_DIR):
-        for lineno, _, target in includes:
-            if target in SIMD_INCLUDE_HEADERS:
-                err(lineno,
-                    f"intrinsics header <{target}> outside {SIMD_DIR} — vector "
-                    "code goes through the runtime-dispatched block kernels "
-                    "(solver/simd/block_kernels.h) so the scalar fallback stays "
-                    "the single bit-exactness switch (docs/perf.md)")
-        for lineno, line in enumerate(code_lines, 1):
-            m = SIMD_TOKEN_RE.search(line)
-            if m:
-                err(lineno,
-                    f"vector intrinsic '{m.group(0)}' outside {SIMD_DIR} — "
-                    "vector code goes through the runtime-dispatched block "
-                    "kernels (solver/simd/block_kernels.h) so the scalar "
-                    "fallback stays the single bit-exactness switch "
-                    "(docs/perf.md)")
+    # -- no explicit vector intrinsics ---------------------------------------
+    for lineno, _, target in includes:
+        if target in SIMD_INCLUDE_HEADERS:
+            err(lineno,
+                f"intrinsics header <{target}> — explicit vector code ties "
+                "solve results to the host ISA; write portable C++ and leave "
+                "vectorization to the compiler")
+    for lineno, line in enumerate(code_lines, 1):
+        m = SIMD_TOKEN_RE.search(line)
+        if m:
+            err(lineno,
+                f"vector intrinsic '{m.group(0)}' — explicit vector code ties "
+                "solve results to the host ISA; write portable C++ and leave "
+                "vectorization to the compiler")
 
     # -- no raw Stopwatch in core/fem (span-as-stopwatch discipline) ----------
     if rel.startswith(STOPWATCH_DIRS) and rel not in STOPWATCH_ALLOWLIST:
@@ -551,32 +538,6 @@ def check_allowlist_drift(root: Path) -> list[str]:
             errors.append(
                 f"check_sources.py: stale UNBOUNDED_QUEUE_ALLOWLIST entry {rel} "
                 "— the file no longer uses an unbounded queue; remove the entry")
-
-    # The SIMD confinement rule must keep guarding live code: at least one
-    # file under SIMD_DIR must still include an intrinsics header and use an
-    # intrinsic token. If the kernels move or go scalar-only, this trips, and
-    # the fix is to retarget SIMD_DIR (or retire the rule) in the same change.
-    simd_root = root / SIMD_DIR
-    simd_has_header = simd_has_token = False
-    if simd_root.is_dir():
-        for path in sorted(simd_root.rglob("*")):
-            if path.suffix not in CPP_SUFFIXES:
-                continue
-            raw = path.read_text(encoding="utf-8")
-            code = strip_comments_and_strings(raw)
-            for raw_line, code_line in zip(raw.splitlines(), code.splitlines()):
-                m = INCLUDE_RE.match(raw_line)
-                if (m and code_line.lstrip().startswith("#")
-                        and m.group(2) in SIMD_INCLUDE_HEADERS):
-                    simd_has_header = True
-            if SIMD_TOKEN_RE.search(code):
-                simd_has_token = True
-    if not (simd_has_header and simd_has_token):
-        errors.append(
-            f"check_sources.py: SIMD confinement rule is stale — no file under "
-            f"{SIMD_DIR} {'includes an intrinsics header' if not simd_has_header else 'uses an intrinsic token'}; "
-            "the vector kernels moved or went scalar-only, so retarget "
-            "SIMD_DIR or retire the rule")
 
     for rel in sorted(NEURO_CHECK_BUDGET):
         budget = NEURO_CHECK_BUDGET[rel]
